@@ -5,8 +5,9 @@ first byte; ``-`` reads stdin) and print a JSON report envelope on stdout.
 ``generate`` and ``complement`` print a bare canonical graph JSON object
 so they pipe into the other subcommands.  Diagnostics go to stderr.
 
-Exit codes: 0 success, 1 usage or input error, 2 a mathematical check
-failed (a certificate or sweep counterexample), 3 numerical
+Exit codes: 0 success, 1 usage, input or output error (a reader that
+closes stdout early ends the command quietly with 1), 2 a mathematical
+check failed (a certificate or sweep counterexample), 3 numerical
 non-convergence.
 
 Numeric fields are serialized with 12 significant digits.  Reports for
@@ -98,6 +99,21 @@ def _emit(obj: dict, table: bool = False) -> None:
         _print_table(obj)
     else:
         print(json.dumps(_round_floats(obj), sort_keys=True))
+    # Flush here so a reader that closed stdout early shows up as a
+    # BrokenPipeError inside ``main``, not at interpreter exit.
+    sys.stdout.flush()
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at devnull after a broken pipe, so the
+    interpreter's final flush of the unsent bytes stays quiet too."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):   # a stream with no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _print_table(obj: dict) -> None:
@@ -210,7 +226,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_complement(args) -> int:
     d = _read_graph(args.graph)
-    print(json.dumps(to_json_dict(complement(d)), sort_keys=True))
+    print(json.dumps(to_json_dict(complement(d)), sort_keys=True), flush=True)
     return EXIT_OK
 
 
@@ -251,15 +267,20 @@ def _cmd_generate(args) -> int:
     else:
         print(f"unknown family {family!r}", file=sys.stderr)
         return EXIT_USAGE
-    print(json.dumps(to_json_dict(d), sort_keys=True))
+    print(json.dumps(to_json_dict(d), sort_keys=True), flush=True)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     theorems = [tok.strip() for tok in args.theorems.split(",")] if args.theorems else ["all"]
     if args.samples is None and args.n >= 5 and not args.exhaustive:
-        print("exhaustive n = 5 takes minutes (33.5M graphs); pass "
-              "--exhaustive to opt in, or use --samples", file=sys.stderr)
+        print("exhaustive n = 5 checks 291,968 relabeling classes standing for "
+              "33.5M graphs: about a minute for two checks, longer for all; "
+              "pass --exhaustive to opt in, or use --samples", file=sys.stderr)
+        return EXIT_USAGE
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        print(f"--jobs must lie in 1..{cpus}, not {args.jobs}", file=sys.stderr)
         return EXIT_USAGE
     try:
         report = run_sweep(
@@ -334,14 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--theorems", default="all",
                     help="comma separated check names, or 'all'")
     sw.add_argument("--exhaustive", action="store_true",
-                    help="all 2^(n*n) graphs; the default up to n = 4, "
-                         "required to opt in at n = 5")
+                    help="all 2^(n*n) graphs, one per relabeling class; the "
+                         "default up to n = 4, required to opt in at n = 5")
     sw.add_argument("--samples", type=int, default=None,
                     help="sampled mode with this many random graphs")
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--arc-prob", type=float, default=0.5)
     sw.add_argument("--loop-prob", type=float, default=0.5)
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for an exhaustive sweep, 1..cpu count")
     sw.add_argument("--out", default=None, help="also write the report here")
     sw.add_argument("--table", action="store_true")
     return parser
@@ -368,6 +390,11 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``loopspec bounds g.json |
+        # head -c 200`` does: nothing is left to report to.
+        _discard_stdout()
+        return EXIT_USAGE
     except NoConvergence as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -1,29 +1,40 @@
 """Exhaustive and randomized theorem fuzzing over small loop-digraphs.
 
-Enumeration walks every adjacency bit pattern (diagonal bits are loops),
-so each labeled graph is visited exactly once in a deterministic order.
-No isomorphism reduction is attempted: the properties under test are
-isomorphism-invariant, so duplicates cost time, not correctness.  The
-equality census deduplicates after the fact by a sorted-degree plus
+A graph on n labeled vertices is an adjacency bit pattern (diagonal bits
+are loops).  Every property under test is invariant under relabeling, so
+an exhaustive sweep checks one graph per relabeling class: the class's
+least bit pattern, in ascending order.  Each class counts with its orbit
+size n!/|Aut|, so ``graphs_checked`` and every pass/fail/na tally equal
+those of a walk over all 2**(n*n) labeled graphs.  The least pattern of a
+class is also the first of its graphs in bit-pattern order, so the census
+entries and witnesses are the ones a labeled walk would report.  The
+equality census deduplicates by a sorted-degree plus
 characteristic-polynomial signature.
 
 A failed check is a counterexample to a published statement; the sweep
-stops, serializes the witness graph, and the report carries it.
+stops, serializes the witness graph, and the report carries it.  An
+exhaustive sweep that stops counts the weighted classes checked up to and
+including the failing one, whose least labeling is the witness.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import bounds, decomposition, spectral
 from .decomposition import ImplicationStatus
 from .errors import CounterexampleError, SizeLimit
-from .formats import from_json_dict, to_json_dict
+from .formats import to_json_dict
 from .graphs import Digraph, complement, degrees
 from .linalg import (adjacency, char_poly_exact, charpoly_product,
                      linear_subdigraph_charpoly, matching_distance)
@@ -60,6 +71,47 @@ def iterate_all(n: int) -> Iterator[Digraph]:
         raise SizeLimit(f"exhaustive enumeration capped at n = {MAX_EXHAUSTIVE_ORDER}")
     for mask in range(1 << (n * n)):
         yield digraph_from_bits(n, mask)
+
+
+_ORBIT_CHUNK = 1 << 14   # masks relabeled at once; bounds the numpy temporaries
+
+
+def orbit_classes(n: int) -> tuple[list[int], list[int]]:
+    """The least mask of every relabeling class on n vertices, ascending,
+    and the class's orbit size n!/|Aut|; the sizes sum to 2**(n*n).
+
+    Each chunk of masks is relabeled under every non-identity permutation
+    by per-row lookup tables.  A mask drops out as soon as one image is
+    smaller, and the images equal to it count its automorphisms.
+    """
+    if n > MAX_EXHAUSTIVE_ORDER:
+        raise SizeLimit(f"exhaustive enumeration capped at n = {MAX_EXHAUSTIVE_ORDER}")
+    row_mask = (1 << n) - 1
+    patterns = np.arange(1 << n, dtype=np.int32)
+    relabelings = list(itertools.permutations(range(n)))[1:]
+    # tables[t, i, r]: where row i with bit pattern r lands under relabeling t
+    tables = np.zeros((len(relabelings), n, 1 << n), dtype=np.int32)
+    for t, p in enumerate(relabelings):
+        for i in range(n):
+            for j in range(n):
+                tables[t, i] |= ((patterns >> j) & 1) << (p[i] * n + p[j])
+    masks: list[int] = []
+    fixed: list[int] = []
+    total = 1 << (n * n)
+    for lo in range(0, total, _ORBIT_CHUNK):
+        least = np.arange(lo, min(lo + _ORBIT_CHUNK, total), dtype=np.int32)
+        aut = np.ones(len(least), dtype=np.int32)
+        for table in tables:
+            image = table[0][least & row_mask]
+            for i in range(1, n):
+                image |= table[i][(least >> (i * n)) & row_mask]
+            keep = image >= least
+            least, image, aut = least[keep], image[keep], aut[keep]
+            aut += image == least
+        masks += least.tolist()
+        fixed += aut.tolist()
+    order = math.factorial(n)
+    return masks, [order // a for a in fixed]
 
 
 def random_digraph(n: int, arc_prob: float, loop_prob: float, seed: int) -> Digraph:
@@ -312,11 +364,22 @@ class SweepReport:
     theorems: list[str]
     graphs_checked: int
     checks: dict[str, _Tally]
-    equality_census: dict[str, list[dict]]
+    # bound id -> (bit mask, census signature, witness) per census entry
+    census_entries: dict[str, list[tuple[int, str, Optional[str]]]]
     counterexamples: list[dict]
     census_findings: list[dict]
     params: dict
     wall_time: float = 0.0
+
+    @property
+    def equality_census(self) -> dict[str, list[dict]]:
+        """The census by bound id as JSON dicts, built on each read."""
+        return {
+            bound_id: [{"graph": to_json_dict(digraph_from_bits(self.n, mask)),
+                        "signature": signature, "witness": witness}
+                       for mask, signature, witness in entries]
+            for bound_id, entries in self.census_entries.items()
+        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -344,7 +407,7 @@ def _new_report(n: int, mode: str, theorems: list[str], params: dict) -> SweepRe
     return SweepReport(
         n=n, mode=mode, theorems=theorems, graphs_checked=0,
         checks={name: _Tally() for name in theorems},
-        equality_census={}, counterexamples=[], census_findings=[],
+        census_entries={}, counterexamples=[], census_findings=[],
         params=params)
 
 
@@ -360,31 +423,34 @@ def census_findings(report: SweepReport) -> list[dict]:
     bound yet is none of the published families.)
     """
     findings: list[dict] = []
-    for entry in report.equality_census.get("mcclelland", ()):
-        d = from_json_dict(entry["graph"])
-        if bounds.mcclelland_equality_family(GraphFacts(d)) is None:
-            findings.append({
-                "bound_id": "mcclelland",
-                "graph": entry["graph"],
-                "reason": "equality attained outside the published family list",
-            })
-    for entry in report.equality_census.get("rho_lower", ()):
-        d = from_json_dict(entry["graph"])
-        if not bounds.rho_lower_equality_structure(GraphFacts(d)):
-            findings.append({
-                "bound_id": "rho_lower",
-                "graph": entry["graph"],
-                "reason": "equality without the symmetric bidegree structure",
-            })
+    for bound_id, gap, reason in (
+            ("mcclelland",
+             lambda facts: bounds.mcclelland_equality_family(facts) is None,
+             "equality attained outside the published family list"),
+            ("rho_lower",
+             lambda facts: not bounds.rho_lower_equality_structure(facts),
+             "equality without the symmetric bidegree structure")):
+        for mask, _, _ in report.census_entries.get(bound_id, ()):
+            d = digraph_from_bits(report.n, mask)
+            if gap(GraphFacts(d)):
+                findings.append({"bound_id": bound_id, "graph": to_json_dict(d),
+                                 "reason": reason})
     return findings
 
 
+def _mask_of(d: Digraph) -> int:
+    """Inverse of ``digraph_from_bits``."""
+    cells = list(d.arcs) + [(v, v) for v in d.loops]
+    return sum(1 << (i * d.n + j) for i, j in cells)
+
+
 def _check_graph(report: SweepReport, d: Digraph, theorems: list[str],
-                 census_seen: dict[str, set[str]]) -> bool:
-    """Run the selected checks; returns False when a counterexample stops
-    the sweep."""
+                 census_seen: dict[str, set[str]], weight: int = 1) -> bool:
+    """Run the selected checks on ``d``, which stands for ``weight`` labeled
+    graphs; returns False when a counterexample stops the sweep."""
     facts = GraphFacts(d, with_residuals=False)
-    report.graphs_checked += 1
+    report.graphs_checked += weight
+    signature = None
     for name in theorems:
         try:
             outcome = THEOREM_CHECKS[name](facts)
@@ -392,11 +458,11 @@ def _check_graph(report: SweepReport, d: Digraph, theorems: list[str],
             outcome = CheckOutcome("fail", str(exc))
         tally = report.checks[name]
         if outcome.status == "pass":
-            tally.passed += 1
+            tally.passed += weight
         elif outcome.status == "na":
-            tally.na += 1
+            tally.na += weight
         else:
-            tally.failed += 1
+            tally.failed += weight
             report.counterexamples.append({
                 "check": name,
                 "graph": to_json_dict(d),
@@ -405,15 +471,15 @@ def _check_graph(report: SweepReport, d: Digraph, theorems: list[str],
             return False
         for cert in outcome.certificates:
             if cert.equality:
-                sig = _census_signature(facts)
+                # Interned, as is the witness, so the reports a process
+                # keeps share these strings.
+                signature = signature or sys.intern(_census_signature(facts))
                 seen = census_seen.setdefault(cert.bound_id, set())
-                if sig not in seen:
-                    seen.add(sig)
-                    report.equality_census.setdefault(cert.bound_id, []).append({
-                        "graph": to_json_dict(d),
-                        "signature": sig,
-                        "witness": cert.witness,
-                    })
+                if signature not in seen:
+                    seen.add(signature)
+                    witness = cert.witness and sys.intern(cert.witness)
+                    report.census_entries.setdefault(cert.bound_id, []).append(
+                        (_mask_of(d), signature, witness))
     return True
 
 
@@ -426,23 +492,28 @@ def _merge_reports(into: SweepReport, part: SweepReport,
         target.failed += tally.failed
         target.na += tally.na
     into.counterexamples.extend(part.counterexamples)
-    for bound_id, entries in part.equality_census.items():
+    for bound_id, entries in part.census_entries.items():
         seen = census_seen.setdefault(bound_id, set())
         for entry in entries:
-            if entry["signature"] not in seen:
-                seen.add(entry["signature"])
-                into.equality_census.setdefault(bound_id, []).append(entry)
+            if entry[1] not in seen:
+                seen.add(entry[1])
+                into.census_entries.setdefault(bound_id, []).append(entry)
 
 
-def _run_mask_range(args: tuple) -> SweepReport:
-    n, start, stop, theorems = args
+def _run_classes(args: tuple) -> SweepReport:
+    """Check a run of relabeling classes, given by least mask and orbit
+    size, until the first counterexample."""
+    n, masks, weights, theorems = args
     report = _new_report(n, "exhaustive", theorems, {})
     census_seen: dict[str, set[str]] = {}
-    for mask in range(start, stop):
+    for mask, weight in zip(masks, weights):
         if not _check_graph(report, digraph_from_bits(n, mask), theorems,
-                            census_seen):
+                            census_seen, weight):
             break
     return report
+
+
+_PART_CLASSES = 4096   # classes per unit of work handed to one worker
 
 
 def sweep(n: int,
@@ -456,32 +527,34 @@ def sweep(n: int,
           jobs: int = 1) -> SweepReport:
     """Run the selected theorem checks over many graphs.
 
-    Exhaustive mode visits all 2**(n*n) labeled graphs (n <= 5; n = 5 takes
-    minutes).  Sampled mode draws ``samples`` seeded random graphs instead.
-    The sweep stops at the first counterexample and serializes the witness
-    in the report.
+    Exhaustive mode covers all 2**(n*n) labeled graphs (n <= 5) by checking
+    one graph per relabeling class, weighted by its orbit size; ``jobs``
+    worker processes share the classes.  Sampled mode draws ``samples``
+    seeded random graphs instead.  The sweep stops at the first
+    counterexample and serializes the witness in the report.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     selected = resolve_theorems(theorems)
     start_time = time.perf_counter()
     if exhaustive and samples is None:
-        if n > MAX_EXHAUSTIVE_ORDER:
-            raise SizeLimit(f"exhaustive sweep capped at n = {MAX_EXHAUSTIVE_ORDER}")
-        params = {"exhaustive": True}
-        report = _new_report(n, "exhaustive", selected, params)
+        masks, weights = orbit_classes(n)
+        report = _new_report(n, "exhaustive", selected, {"exhaustive": True})
         census_seen: dict[str, set[str]] = {}
-        total = 1 << (n * n)
-        if jobs > 1:
-            chunk = -(-total // jobs)
-            ranges = [(n, lo, min(lo + chunk, total), selected)
-                      for lo in range(0, total, chunk)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(_run_mask_range, ranges):
-                    _merge_reports(report, part, census_seen)
-        else:
-            for mask in range(total):
-                if not _check_graph(report, digraph_from_bits(n, mask),
-                                    selected, census_seen):
+        step = min(_PART_CLASSES, -(-len(masks) // jobs))
+        parts = [(n, masks[lo:lo + step], weights[lo:lo + step], selected)
+                 for lo in range(0, len(masks), step)]
+        pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+        try:
+            # Parts merge in class order and the first counterexample ends
+            # the sweep, so every ``jobs`` value gives the serial report.
+            for part in (pool.map if pool else map)(_run_classes, parts):
+                _merge_reports(report, part, census_seen)
+                if part.counterexamples:
                     break
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
     else:
         if samples is None:
             raise ValueError("sampled mode needs a sample count")

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +169,20 @@ class TestSweepCommand:
         assert code == 1
         assert "--exhaustive" in err
 
+    def test_jobs_out_of_range(self, capsys, monkeypatch):
+        # The package rebinds the name ``sweep`` to the function.
+        sweep_mod = importlib.import_module("loopspec.sweep")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+        for jobs in (0, (os.cpu_count() or 1) + 1):
+            code, out, err = run(capsys, "sweep", "--n", "2", "--jobs", str(jobs))
+            assert code == 1
+            assert out == ""
+            assert "--jobs" in err
+
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         from loopspec.sweep import CheckOutcome, THEOREM_CHECKS
         monkeypatch.setitem(THEOREM_CHECKS, "synthetic_fail",
@@ -200,6 +219,39 @@ class TestErrorPaths:
         code, _, err = run(capsys, "energy", fig_file)
         assert code == 3
         assert "converge" in err
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_quietly(self, capsys, monkeypatch, fig_file):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["bounds", fig_file])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_real_process(self, fig_file):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__import__("loopspec").__file__).parents[1])
+        # Block-buffered stdout, the interpreter's default on a pipe, so the
+        # unsent bytes also meet the flush at interpreter exit.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from loopspec.cli import entry_point; entry_point()",
+                 "bounds", fig_file],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestDeterminism:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from loopspec import SizeLimit, complete, new_digraph
-from loopspec.sweep import (CheckOutcome, THEOREM_CHECKS, digraph_from_bits,
-                            iterate_all, random_digraph, resolve_theorems,
-                            sweep)
+from loopspec.bounds import mcclelland_equality_family, rho_lower_equality_structure
+from loopspec.formats import from_json_dict, to_json_dict
+from loopspec.spectral import GraphFacts
+from loopspec.sweep import (CheckOutcome, THEOREM_CHECKS, _census_signature,
+                            digraph_from_bits, iterate_all, orbit_classes,
+                            random_digraph, resolve_theorems, sweep)
 from mcclelland_witness import is_triangle_plus_looped_vertex
 
 
@@ -28,6 +33,66 @@ class TestIterateAll:
         assert digraph_from_bits(2, 1) == new_digraph(2, [], [0])
         # bit for entry (0, 1)
         assert digraph_from_bits(2, 2) == new_digraph(2, [(0, 1)], [])
+
+
+def _orbit(n: int, mask: int) -> set[int]:
+    """Every relabeling of the graph with bit mask ``mask``."""
+    cells = [divmod(k, n) for k in range(n * n) if mask >> k & 1]
+    return {sum(1 << (p[i] * n + p[j]) for i, j in cells)
+            for p in itertools.permutations(range(n))}
+
+
+class TestOrbitClasses:
+    def test_class_counts(self):
+        # OEIS A000595: loop-digraphs up to relabeling
+        for n, count in ((1, 2), (2, 10), (3, 104), (4, 3044)):
+            masks, weights = orbit_classes(n)
+            assert len(masks) == len(weights) == count
+            assert sum(weights) == 1 << (n * n)
+
+    def test_least_mask_and_orbit_size_by_brute_force(self):
+        for n in (1, 2, 3):
+            orbits = {min(o): len(o) for o in (_orbit(n, m) for m in range(1 << (n * n)))}
+            masks, weights = orbit_classes(n)
+            assert masks == sorted(orbits)
+            assert weights == [orbits[m] for m in masks]
+
+    def test_size_limit(self):
+        with pytest.raises(SizeLimit):
+            orbit_classes(6)
+
+
+def _labeled_reference(n: int) -> dict:
+    """``sweep(n, "all")`` as a walk over every labeled graph, one
+    census entry per signature in mask order."""
+    checks = {name: {"pass": 0, "fail": 0, "na": 0} for name in THEOREM_CHECKS}
+    census: dict[str, list[dict]] = {}
+    for d in iterate_all(n):
+        facts = GraphFacts(d, with_residuals=False)
+        for name, check in THEOREM_CHECKS.items():
+            outcome = check(facts)
+            checks[name][outcome.status] += 1
+            for cert in (c for c in outcome.certificates if c.equality):
+                sig = _census_signature(facts)
+                entries = census.setdefault(cert.bound_id, [])
+                if all(e["signature"] != sig for e in entries):
+                    entries.append({"graph": to_json_dict(d), "signature": sig,
+                                    "witness": cert.witness})
+    findings = []
+    for bound_id, gap, reason in (
+            ("mcclelland", lambda f: mcclelland_equality_family(f) is None,
+             "equality attained outside the published family list"),
+            ("rho_lower", lambda f: not rho_lower_equality_structure(f),
+             "equality without the symmetric bidegree structure")):
+        for entry in census.get(bound_id, ()):
+            if gap(GraphFacts(from_json_dict(entry["graph"]))):
+                findings.append({"bound_id": bound_id, "graph": entry["graph"],
+                                 "reason": reason})
+    return {"n": n, "mode": "exhaustive", "theorems": list(THEOREM_CHECKS),
+            "graphs_checked": 1 << (n * n), "checks": checks,
+            "equality_census": census, "counterexamples": [],
+            "census_findings": findings, "params": {"exhaustive": True},
+            "wall_time": 0.0}
 
 
 class TestRandomDigraph:
@@ -104,10 +169,22 @@ class TestSweep:
         assert a == b
 
     def test_parallel_matches_serial(self):
-        serial = sweep(2, "all", jobs=1).to_json_dict()
-        parallel = sweep(2, "all", jobs=2).to_json_dict()
-        serial["wall_time"] = parallel["wall_time"] = 0.0
-        assert serial == parallel
+        for n in (2, 3):
+            serial = sweep(n, "all", jobs=1).to_json_dict()
+            parallel = sweep(n, "all", jobs=2).to_json_dict()
+            serial["wall_time"] = parallel["wall_time"] = 0.0
+            assert serial == parallel
+
+    def test_classes_match_labeled_walk(self):
+        for n in (1, 2, 3):
+            report = sweep(n, "all").to_json_dict()
+            report["wall_time"] = 0.0
+            assert report == _labeled_reference(n)
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError):
+                sweep(2, ["perron"], jobs=jobs)
 
     def test_exhaustive_size_limit(self):
         with pytest.raises(SizeLimit):
