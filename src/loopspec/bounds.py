@@ -44,6 +44,10 @@ ALL_BOUND_IDS = (
     POWER_SUM_MODULUS, POWER_SUM_REAL, POWER_SUM_IMAG,
 )
 
+# Witnesses of an equality that no published characterization covers.
+FAMILY_UNRECOGNIZED = "equality, family unrecognized"
+STRUCTURE_UNRECOGNIZED = "equality, structural pattern unrecognized"
+
 
 @dataclass(frozen=True)
 class BoundCertificate:
@@ -104,7 +108,7 @@ def mcclelland(d: FactsLike) -> BoundCertificate:
         if not equality:
             return None
         tag = mcclelland_equality_family(facts)
-        return f"family: {tag}" if tag else "equality, family unrecognized"
+        return f"family: {tag}" if tag else FAMILY_UNRECOGNIZED
 
     return _certify(MCCLELLAND, value, witness)
 
@@ -156,7 +160,7 @@ def rho_lower(d: FactsLike) -> BoundCertificate:
             return None
         if rho_lower_equality_structure(facts):
             return "pruned graph is a symmetric (c2+sigma)/n-regular symmetrization"
-        return "equality, structural pattern unrecognized"
+        return STRUCTURE_UNRECOGNIZED
 
     return _certify(RHO_LOWER, value, witness)
 
@@ -186,7 +190,7 @@ def energy_lower_c2(d: FactsLike) -> BoundCertificate:
         if not equality:
             return None
         tag = energy_lower_equality_family(facts)
-        return f"family: {tag}" if tag else "equality, family unrecognized"
+        return f"family: {tag}" if tag else FAMILY_UNRECOGNIZED
 
     return _certify(ENERGY_LOWER_C2, value, witness)
 

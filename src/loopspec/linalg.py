@@ -4,21 +4,24 @@ Two independent eigenvalue routes keep floating-point results honest:
 
 * ``eigenvalues`` runs LAPACK's Hessenberg + shifted-QR solver on the
   matrix, then coalesces clusters that a defective (Jordan-block)
-  eigenvalue splits apart and restores exact conjugate pairing.
+  eigenvalue splits apart, judged from the QR values alone, and restores
+  exact conjugate pairing.
 * ``poly_roots`` works purely from the exact integer characteristic
   polynomial: an exact square-free decomposition assigns multiplicities,
   then Aberth-Ehrlich simultaneous iteration locates the simple roots of
   each square-free factor.
 
 ``char_poly_exact`` (Faddeev-LeVerrier over arbitrary-precision integers)
-and ``linear_subdigraph_charpoly`` (signed cycle-cover enumeration) give
-the same dual-route treatment to the polynomial itself.
+and ``linear_subdigraph_charpoly`` (signed cycle-cover counts, by a
+depth-first search over the digraph's cycles) give the same dual-route
+treatment to the polynomial itself.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -30,14 +33,15 @@ from .errors import (LoopspecError, NegativeProduct, NoConvergence,
 from .graphs import Digraph
 from .tolerances import EIGEN_RESIDUAL_TOL, ROOT_RESIDUAL_TOL
 
-# Computed eigenvalues closer than CLUSTER_RTOL * max(1, ||A||_F) are
-# treated as one multiple eigenvalue and replaced by their mean.  Measured
-# on all 0/1 matrices with n <= 4 and large random samples up to n = 7:
-# QR splits defective eigenvalues by at most ~1e-4 while genuinely distinct
-# eigenvalues stay at least ~4e-2 apart, so 1e-3 clears both by an order
-# of magnitude.  The mean of a split cluster is accurate to machine
-# precision because the first-order perturbations of a Jordan block cancel.
+# Computed eigenvalues within CLUSTER_RTOL * max(1, ||A||_F) of each other
+# (single linkage) may be one multiple eigenvalue that QR split.  A split of
+# multiplicity k spreads by about eps**(1/k) (at most 1.23 * scale *
+# eps**(1/k) on every class with n <= 4 and 40,000 random graphs with
+# n = 5..7), while distinct eigenvalues came as close as 3.5e-4 * scale.  So
+# a k-value cluster collapses to its mean, which is accurate to machine
+# precision, only if it lies within SPLIT_SPREAD * scale * eps**(1/k) of it.
 CLUSTER_RTOL = 1e-3
+SPLIT_SPREAD = 16.0
 
 MAX_EXACT_ORDER = 64
 MAX_ENUMERATION_ORDER = 8
@@ -157,39 +161,36 @@ def linear_subdigraph_charpoly(d: Digraph) -> CharPoly:
 
     The coefficient of lambda^(n-i) is the sum over all unions L of
     vertex-disjoint directed cycles covering exactly i vertices (loops count
-    as 1-cycles) of (-1) raised to the number of cycles in L.  Exponential
-    enumeration; the independent oracle for ``char_poly_exact``.
+    as 1-cycles) of (-1) raised to the number of cycles in L.  A depth-first
+    search reaches each union once: it adds cycles in increasing order of
+    their least vertex s, growing each from s along existing arcs through
+    uncovered vertices above s until an arc returns to s.  Exponential in
+    the worst case; the independent oracle for ``char_poly_exact``.
     """
     n = d.n
     if n > MAX_ENUMERATION_ORDER:
         raise SizeLimit(f"cycle-cover enumeration capped at n = {MAX_ENUMERATION_ORDER}")
-    present = set(d.arcs) | {(v, v) for v in d.loops}
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    for size in range(1, n + 1):
-        total = 0
-        for subset in itertools.combinations(range(n), size):
-            for image in itertools.permutations(subset):
-                if all((u, v) in present for u, v in zip(subset, image)):
-                    total += -1 if _cycle_count(subset, image) % 2 else 1
-        # a_i = sum (-1)**p(L); the coefficient of lambda^(n-i)
-        coeffs[n - size] = total
-    return CharPoly(tuple(coeffs[:n]))
+    succ = [[w for w in range(n) if (v, w) in d.arcs] + [v] * (v in d.loops)
+            for v in range(n)]
+    totals = [0] * (n + 1)   # totals[i] = a_i, the coefficient of lambda^(n-i)
 
+    def add_cycles(first: int, covered: int, size: int, sign: int) -> None:
+        # Count the union so far, then start its next cycle at some s >= first.
+        totals[size] += sign
+        for s in range(first, n):
+            if not covered >> s & 1:
+                grow(s, s, covered | 1 << s, size + 1, -sign)
 
-def _cycle_count(domain: tuple[int, ...], image: tuple[int, ...]) -> int:
-    succ = dict(zip(domain, image))
-    seen: set[int] = set()
-    cycles = 0
-    for start in domain:
-        if start in seen:
-            continue
-        cycles += 1
-        v = start
-        while v not in seen:
-            seen.add(v)
-            v = succ[v]
-    return cycles
+    def grow(s: int, v: int, covered: int, size: int, sign: int) -> None:
+        # A path s -> ... -> v through ``covered``; close it or extend it.
+        for w in succ[v]:
+            if w == s:
+                add_cycles(s + 1, covered, size, sign)
+            elif w > s and not covered >> w & 1:
+                grow(s, w, covered | 1 << w, size + 1, sign)
+
+    add_cycles(0, 0, 0, 1)
+    return CharPoly(tuple(reversed(totals[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +221,10 @@ def _canonical(values: Iterable[complex]) -> tuple[complex, ...]:
     return tuple(sorted(values, key=lambda z: (-z.real, -z.imag)))
 
 
-def _coalesce_clusters(values: list[complex], tol: float) -> list[complex]:
-    """Single-linkage clusters under ``tol``; each replaced by its mean."""
+def _coalesce_clusters(values: list[complex], scale: float) -> list[complex]:
+    """Single-linkage clusters under CLUSTER_RTOL * scale; each cluster
+    whose spread fits a split multiple eigenvalue is replaced by its mean."""
+    tol = CLUSTER_RTOL * scale
     k = len(values)
     parent = list(range(k))
 
@@ -240,8 +243,13 @@ def _coalesce_clusters(values: list[complex], tol: float) -> list[complex]:
         groups.setdefault(find(i), []).append(values[i])
     out: list[complex] = []
     for members in groups.values():
-        mean = sum(members) / len(members)
-        out.extend([mean] * len(members))
+        k = len(members)
+        mean = sum(members) / k
+        if k > 1 and max(abs(z - mean) for z in members) > (
+                SPLIT_SPREAD * scale * sys.float_info.epsilon ** (1 / k)):
+            out.extend(members)   # distinct eigenvalues, only close together
+        else:
+            out.extend([mean] * k)
     return out
 
 
@@ -277,11 +285,12 @@ def eigenvalues(mat, *, with_residuals: bool = True) -> Spectrum:
     """Spectrum of a real square matrix.
 
     LAPACK values are polished in two steps: clusters closer than
-    CLUSTER_RTOL * max(1, ||A||_F) collapse to their mean (recovering
-    defective multiple eigenvalues to machine precision), and conjugate
-    pairs are averaged to exact conjugates.  The residual reported for each
-    value is sigma_min(A - lambda*I), the smallest perturbation of A that
-    makes the value exact; the contract caps it at 1e-10 * max(1, ||A||_F).
+    CLUSTER_RTOL * max(1, ||A||_F) whose spread fits a split multiple
+    eigenvalue collapse to their mean (recovering defective multiple
+    eigenvalues to machine precision), and conjugate pairs are averaged to
+    exact conjugates.  The residual reported for each value is
+    sigma_min(A - lambda*I), the smallest perturbation of A that makes the
+    value exact; the contract caps it at 1e-10 * max(1, ||A||_F).
 
     ``with_residuals=False`` skips the residual computation for bulk
     sweeps; values are identical.
@@ -292,7 +301,7 @@ def eigenvalues(mat, *, with_residuals: bool = True) -> Spectrum:
         raw = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"QR iteration failed: {exc}") from exc
-    polished = _coalesce_clusters([complex(z) for z in raw], CLUSTER_RTOL * scale)
+    polished = _coalesce_clusters([complex(z) for z in raw], scale)
     polished = _conjugate_symmetrize(polished, CLUSTER_RTOL * scale)
     values = _canonical(polished)
     residuals: tuple[float, ...] = ()
@@ -412,19 +421,36 @@ def _horner_pair(coeffs: Sequence[float], z: complex) -> tuple[complex, complex]
     return p, dp
 
 
+def _rounding_scale(coeffs: Sequence[float], mag: float) -> float:
+    """sum |a_k| mag^k: at |z| = mag, Horner's rounding error in p(z) stays
+    below 2 deg eps times this."""
+    size = 0.0
+    for c in reversed(coeffs):
+        size = size * mag + abs(c)
+    return size
+
+
 def _aberth_roots(coeffs: Sequence[float], max_iter: int) -> list[complex]:
-    """All roots of a monic square-free polynomial (ascending coeffs)."""
+    """All roots of a monic square-free polynomial (ascending coeffs).
+
+    Stops once no root moves by 1e-14 relative, or once every |p(z_i)| is
+    within Horner's rounding bound 2 deg eps sum |a_k| |z_i|^k: a root next
+    to another can then alternate between two doubles forever.
+    """
     deg = len(coeffs) - 1
     if deg == 1:
         return [complex(-coeffs[0])]
+    noise = 2 * deg * sys.float_info.epsilon
     radius = 1.0 + max(abs(c) for c in coeffs[:-1])
     roots = [radius * cmath.exp(2j * cmath.pi * (k + 0.25) / deg + 0.35j)
              for k in range(deg)]
     for _ in range(max_iter):
         shift = 0.0
+        at_noise = True
         new_roots = list(roots)
         for i, z in enumerate(roots):
             p, dp = _horner_pair(coeffs, z)
+            at_noise = at_noise and abs(p) <= noise * _rounding_scale(coeffs, abs(z))
             if p == 0:
                 continue
             if dp == 0:
@@ -438,7 +464,7 @@ def _aberth_roots(coeffs: Sequence[float], max_iter: int) -> list[complex]:
             new_roots[i] = z - step
             shift = max(shift, abs(step) / (1 + abs(z)))
         roots = new_roots
-        if shift <= 1e-14:
+        if shift <= 1e-14 or at_noise:
             break
     else:
         raise NoConvergence(f"Aberth iteration cap {max_iter} reached")
@@ -450,17 +476,6 @@ def _aberth_roots(coeffs: Sequence[float], max_iter: int) -> list[complex]:
             z = z - p / dp
         roots[i] = z
     return roots
-
-
-def _relative_residual(coeffs: Sequence[float], z: complex) -> float:
-    size = 0.0
-    power = 1.0
-    mag = abs(z)
-    for c in coeffs:
-        size += abs(c) * power
-        power *= mag
-    p, _ = _horner_pair(coeffs, z)
-    return abs(p) / max(1.0, size)
 
 
 def poly_roots(p: CharPoly | Sequence[int]) -> Spectrum:
@@ -489,8 +504,10 @@ def poly_roots(p: CharPoly | Sequence[int]) -> Spectrum:
             found = _conjugate_symmetrize(found, 1e-6 * (1 + max(abs(z) for z in found)))
             roots.extend(z for z in found for _ in range(mult))
     values = _canonical(roots)
-    target = list(p.full()) if isinstance(p, CharPoly) else list(p)
-    residuals = tuple(_relative_residual([float(c) for c in target], z) for z in values)
+    target = [float(c) for c in (p.full() if isinstance(p, CharPoly) else p)]
+    residuals = tuple(
+        abs(_horner_pair(target, z)[0]) / max(1.0, _rounding_scale(target, abs(z)))
+        for z in values)
     if residuals and max(residuals) > ROOT_RESIDUAL_TOL:
         raise NoConvergence(
             f"root residual {max(residuals):.3e} exceeds {ROOT_RESIDUAL_TOL:.0e}")

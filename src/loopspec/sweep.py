@@ -36,8 +36,9 @@ from .decomposition import ImplicationStatus
 from .errors import CounterexampleError, SizeLimit
 from .formats import to_json_dict
 from .graphs import Digraph, complement, degrees
-from .linalg import (adjacency, char_poly_exact, charpoly_product,
-                     linear_subdigraph_charpoly, matching_distance)
+from .linalg import (MAX_ENUMERATION_ORDER, adjacency, char_poly_exact,
+                     charpoly_product, linear_subdigraph_charpoly,
+                     matching_distance)
 from .spectral import GraphFacts
 from .tolerances import SPECTRUM_MATCH_TOL, TRACE_TOL
 
@@ -263,8 +264,9 @@ def check_oracle_roots(facts: GraphFacts) -> CheckOutcome:
 
 
 def check_oracle_charpoly(facts: GraphFacts) -> CheckOutcome:
-    if facts.n > 8:
-        return CheckOutcome("na", "cycle-cover enumeration capped at n = 8")
+    if facts.n > MAX_ENUMERATION_ORDER:
+        return CheckOutcome(
+            "na", f"cycle-cover enumeration capped at n = {MAX_ENUMERATION_ORDER}")
     combinatorial = linear_subdigraph_charpoly(facts.d)
     if combinatorial != facts.charpoly:
         return CheckOutcome(
@@ -418,23 +420,24 @@ def census_findings(report: SweepReport) -> list[dict]:
     A McClelland-equality graph outside the family list, or a rho-lower
     equality graph whose pruned form is not a symmetric regular
     symmetrization, is a finding: a concrete gap in a published equality
-    characterization.  (The n = 4 sweep does produce one: the directed
-    triangle together with a looped isolated vertex attains the McClelland
-    bound yet is none of the published families.)
+    characterization.  Each census entry's certificate witness already
+    records that verdict, so only the findings are decoded.  (The n = 4
+    sweep does produce one: the directed triangle together with a looped
+    isolated vertex attains the McClelland bound yet is none of the
+    published families.)
     """
     findings: list[dict] = []
     for bound_id, gap, reason in (
-            ("mcclelland",
-             lambda facts: bounds.mcclelland_equality_family(facts) is None,
+            (bounds.MCCLELLAND, bounds.FAMILY_UNRECOGNIZED,
              "equality attained outside the published family list"),
-            ("rho_lower",
-             lambda facts: not bounds.rho_lower_equality_structure(facts),
+            (bounds.RHO_LOWER, bounds.STRUCTURE_UNRECOGNIZED,
              "equality without the symmetric bidegree structure")):
-        for mask, _, _ in report.census_entries.get(bound_id, ()):
-            d = digraph_from_bits(report.n, mask)
-            if gap(GraphFacts(d)):
-                findings.append({"bound_id": bound_id, "graph": to_json_dict(d),
-                                 "reason": reason})
+        for mask, _, witness in report.census_entries.get(bound_id, ()):
+            if witness == gap:
+                findings.append({
+                    "bound_id": bound_id,
+                    "graph": to_json_dict(digraph_from_bits(report.n, mask)),
+                    "reason": reason})
     return findings
 
 

@@ -7,15 +7,27 @@ import pytest
 
 from loopspec import (CharPoly, LoopspecError, NegativeProduct,
                       SizeLimit, adjacency, char_poly_exact, charpoly_product,
-                      count_two_cycles, diagonally_similar_to_symmetrization,
+                      complete, count_two_cycles,
+                      diagonally_similar_to_symmetrization,
                       digraph_charpoly, digraph_spectrum, directed_cycle,
                       eigenvalues, geometric_symmetrization,
                       linear_subdigraph_charpoly, matching_distance,
                       new_digraph, poly_roots)
 from loopspec.linalg import diagonal_similarity_witness, square_free_decomposition
-from loopspec.sweep import digraph_from_bits, iterate_all, random_digraph
+from loopspec.spectral import trace_identities
+from loopspec.sweep import (digraph_from_bits, iterate_all, orbit_classes,
+                            random_digraph)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+# random_digraph(7, 0.5, 0.5, 45672): a square-free charpoly with the two
+# simple eigenvalues -0.37720 and -0.37331, 3.9e-3 = 7.6e-4 * ||A||_F apart.
+CLOSE_PAIR = new_digraph(
+    7,
+    [(0, 3), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (1, 6), (2, 1), (2, 4),
+     (3, 0), (3, 2), (3, 4), (3, 5), (3, 6), (4, 0), (4, 1), (4, 2), (4, 3),
+     (5, 0), (6, 0), (6, 4), (6, 5)],
+    [2, 3, 4, 5])
 
 
 class TestAdjacency:
@@ -93,6 +105,18 @@ class TestLinearSubdigraphCharpoly:
             d = random_digraph(n, 0.45, 0.45, seed)
             assert linear_subdigraph_charpoly(d) == digraph_charpoly(d)
 
+    def test_matches_faddeev_leverrier_on_n4_classes(self):
+        masks, _ = orbit_classes(4)
+        for mask in masks:
+            d = digraph_from_bits(4, mask)
+            assert linear_subdigraph_charpoly(d) == digraph_charpoly(d)
+
+    def test_complete_with_every_loop(self):
+        # The most cycle unions at each order: every partial permutation.
+        for n in range(1, 9):
+            d = complete(n, range(n))
+            assert linear_subdigraph_charpoly(d) == digraph_charpoly(d)
+
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             linear_subdigraph_charpoly(new_digraph(9))
@@ -145,6 +169,17 @@ class TestEigenvalues:
         # charpoly (x - 1)^2 (x + 1) with a one-dimensional eigenspace at 1
         a = np.array([[1, 1, 0], [0, 0, 1], [0, 1, 0]])
         assert matching_distance(eigenvalues(a).values, [1, 1, -1]) < 1e-10
+
+    def test_close_simple_eigenvalues_stay_distinct(self):
+        poly = digraph_charpoly(CLOSE_PAIR)
+        assert square_free_decomposition(poly.full()) == [(list(poly.full()), 1)]
+        values = digraph_spectrum(CLOSE_PAIR).values
+        near = sorted(z.real for z in values if abs(z.real + 0.375) < 0.01)
+        assert near == [pytest.approx(-0.37720285, abs=1e-8),
+                        pytest.approx(-0.37331368, abs=1e-8)]
+        assert matching_distance(values, poly_roots(poly)) < 1e-8
+        report = trace_identities(CLOSE_PAIR)
+        assert report.sum_ok and report.sumsq_ok and report.re_im_ok
 
     def test_residual_contract(self):
         for seed in range(25):
@@ -208,6 +243,20 @@ class TestPolyRoots:
     def test_residuals_bounded(self, loop_c3):
         spec = poly_roots(digraph_charpoly(loop_c3))
         assert max(spec.residuals) <= 1e-9
+
+    def test_close_real_roots_converge(self):
+        # From random_digraph(7, 0.5, 0.5, 70928).  Aberth's step on the root
+        # 0.68154, 7.9e-4 from the root 0.68233, alternates between two
+        # adjacent doubles and never falls below 1e-14 relative.
+        coeffs = (3, -6, -2, 7, -3, 6, -5, 1)
+        spec = poly_roots(coeffs)
+        assert len(spec.values) == 7
+        assert max(spec.residuals) <= 1e-15
+        reals = sorted(z.real for z in spec.values if z.imag == 0)
+        assert reals[1] == pytest.approx(0.68154110, abs=1e-8)
+        assert reals[2] == pytest.approx(0.68232780, abs=1e-8)
+        qr = eigenvalues(np.polynomial.polynomial.polycompanion(coeffs))
+        assert matching_distance(spec, qr) < 1e-8
 
     def test_degree_zero_rejected(self):
         with pytest.raises(LoopspecError):

@@ -5,7 +5,9 @@ import itertools
 import pytest
 
 from loopspec import SizeLimit, complete, new_digraph
-from loopspec.bounds import mcclelland_equality_family, rho_lower_equality_structure
+from loopspec.bounds import (FAMILY_UNRECOGNIZED, STRUCTURE_UNRECOGNIZED,
+                             mcclelland_equality_family,
+                             rho_lower_equality_structure)
 from loopspec.formats import from_json_dict, to_json_dict
 from loopspec.spectral import GraphFacts
 from loopspec.sweep import (CheckOutcome, THEOREM_CHECKS, _census_signature,
@@ -168,6 +170,14 @@ class TestSweep:
         a["wall_time"] = b["wall_time"] = 0.0
         assert a == b
 
+    def test_sampled_n7_without_false_counterexample(self):
+        # The bench's pass 15 of run seed 10.  Its sample drawn with seed
+        # 45672 used to fail trace_identities: the QR polish merged two
+        # simple eigenvalues.
+        report = sweep(7, "all", samples=48, seed=(10 * 100000 + 15) * 48)
+        assert report.counterexamples == []
+        assert report.graphs_checked == 48
+
     def test_parallel_matches_serial(self):
         for n in (2, 3):
             serial = sweep(n, "all", jobs=1).to_json_dict()
@@ -222,3 +232,19 @@ class TestCensusFindings:
         assert finding["bound_id"] == "mcclelland"
         assert is_triangle_plus_looped_vertex(finding["graph"])
         assert not report.ok
+
+    def test_witness_records_the_structural_verdict(self):
+        # census_findings reads the verdict from each entry's witness.
+        report = sweep(4, ["mcclelland", "rho_lower"])
+        for bound_id, gap, unrecognized in (
+                ("mcclelland",
+                 lambda f: mcclelland_equality_family(f) is None,
+                 FAMILY_UNRECOGNIZED),
+                ("rho_lower",
+                 lambda f: not rho_lower_equality_structure(f),
+                 STRUCTURE_UNRECOGNIZED)):
+            entries = report.census_entries[bound_id]
+            assert entries
+            for mask, _, witness in entries:
+                facts = GraphFacts(digraph_from_bits(4, mask))
+                assert gap(facts) == (witness == unrecognized)
