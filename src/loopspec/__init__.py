@@ -24,9 +24,8 @@ from .scc import (SccPartition, component_digraphs, induced_subdigraph,
                   is_disjoint_union_of_components, non_cycle_arcs,
                   prune_non_cycle_arcs, strong_components)
 from .linalg import (CharPoly, Spectrum, adjacency, char_poly_exact,
-                     charpoly_product, diagonally_similar_to_symmetrization,
-                     digraph_charpoly, digraph_spectrum, eigenvalues,
-                     geometric_symmetrization, linear_subdigraph_charpoly,
+                     charpoly_product, digraph_charpoly, digraph_spectrum,
+                     eigenvalues, linear_subdigraph_charpoly,
                      matching_distance, poly_roots)
 from .spectral import (EnergyReport, GraphFacts, complement_spectrum_regular,
                        energy, energy_positive_part, regular_energy_sum,

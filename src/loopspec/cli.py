@@ -198,7 +198,7 @@ def _cmd_scc(args) -> int:
 
 def _cmd_decompose(args) -> int:
     facts = GraphFacts(_read_graph(args.graph), with_residuals=True)
-    analysis = decomposition.analyze(facts)
+    analysis = facts.analysis
     payload = {
         "components": [
             {

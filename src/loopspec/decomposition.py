@@ -205,7 +205,7 @@ def sufficient_condition(d: FactsLike) -> ImplicationRecord:
     more than the certainty margin, never on a rounding artifact.
     """
     facts = as_facts(d)
-    analysis = analyze(facts)
+    analysis = facts.analysis
     if analysis.k == 1:
         return _vacuous(ImplicationStatus.NOT_APPLICABLE)
     status = ImplicationStatus.APPLIED if analysis.l else ImplicationStatus.DEGENERATE
@@ -238,7 +238,7 @@ def necessary_condition(d: FactsLike) -> ImplicationRecord:
     consequent is exact rational.
     """
     facts = as_facts(d)
-    analysis = analyze(facts)
+    analysis = facts.analysis
     if analysis.k == 1:
         return _vacuous(ImplicationStatus.NOT_APPLICABLE)
     status = ImplicationStatus.APPLIED if analysis.l else ImplicationStatus.DEGENERATE
@@ -268,7 +268,7 @@ def necessary_condition(d: FactsLike) -> ImplicationRecord:
 def ab_remark_check(d: FactsLike) -> bool:
     """The A-set form of the signed ratio expression dominates the B-set
     form; exact rational comparison."""
-    analysis = analyze(d)
+    analysis = as_facts(d).analysis
     a_lhs, a_rhs = _ratio_inequality(analysis, use_b=False)
     b_lhs, b_rhs = _ratio_inequality(analysis, use_b=True)
     return (a_lhs - a_rhs) >= (b_lhs - b_rhs)

@@ -7,29 +7,29 @@ Two independent eigenvalue routes keep floating-point results honest:
   eigenvalue splits apart, judged from the QR values alone, and restores
   exact conjugate pairing.
 * ``poly_roots`` works purely from the exact integer characteristic
-  polynomial: an exact square-free decomposition assigns multiplicities,
-  then Aberth-Ehrlich simultaneous iteration locates the simple roots of
-  each square-free factor.
+  polynomial: a square-free decomposition in integers (Yun's algorithm
+  with primitive pseudo-remainder gcds) assigns multiplicities, then
+  Aberth-Ehrlich simultaneous iteration locates the simple roots of each
+  square-free factor.
 
-``char_poly_exact`` (Faddeev-LeVerrier over arbitrary-precision integers)
-and ``linear_subdigraph_charpoly`` (signed cycle-cover counts, by a
-depth-first search over the digraph's cycles) give the same dual-route
-treatment to the polynomial itself.
+``char_poly_exact`` (Faddeev-LeVerrier on a numpy object array of
+arbitrary-precision Python ints) and ``linear_subdigraph_charpoly``
+(signed cycle-cover counts, by a depth-first search over the digraph's
+cycles) give the same dual-route treatment to the polynomial itself.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (LoopspecError, NegativeProduct, NoConvergence,
-                     SizeLimit)
+from .errors import LoopspecError, NoConvergence, SizeLimit
 from .graphs import Digraph
 from .tolerances import EIGEN_RESIDUAL_TOL, ROOT_RESIDUAL_TOL
 
@@ -57,7 +57,8 @@ def adjacency(d: Digraph) -> np.ndarray:
     return a
 
 
-def _as_int_rows(mat) -> list[list[int]]:
+def _as_int_matrix(mat) -> np.ndarray:
+    """The square integer matrix ``mat`` as a numpy array of Python ints."""
     a = np.asarray(mat)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LoopspecError("matrix must be square")
@@ -65,9 +66,15 @@ def _as_int_rows(mat) -> list[list[int]]:
         if not np.all(a == np.round(a)):
             raise LoopspecError("matrix entries must be integers")
         a = a.astype(np.int64)
-    elif a.dtype.kind not in "iu" and a.dtype != object:
+    elif a.dtype == object:
+        rows = a.tolist()
+        ints = [[int(x) for x in row] for row in rows]
+        if ints != rows:
+            raise LoopspecError("matrix entries must be integers")
+        return np.array(ints, dtype=object).reshape(a.shape)
+    elif a.dtype.kind not in "iu":
         raise LoopspecError("matrix entries must be integers")
-    return [[int(x) for x in row] for row in a.tolist()]
+    return a.astype(object)
 
 
 def _as_float_matrix(mat) -> np.ndarray:
@@ -109,32 +116,29 @@ class CharPoly:
 
 
 def char_poly_exact(mat) -> CharPoly:
-    """Faddeev-LeVerrier with exact integer arithmetic.
+    """Faddeev-LeVerrier over arbitrary-precision integers.
 
-    Every trace division by the step index is exact for integer matrices
-    and asserted so.  Supports n <= 64; the big-integer cost grows fast
-    beyond that.
+    The products A M_k run on a numpy object array of Python ints, so no
+    entry can overflow.  Every trace division by the step index is exact
+    for integer matrices and checked so.  Supports n <= 64; the big-integer
+    cost grows fast beyond that.
     """
-    a = _as_int_rows(mat)
+    a = _as_int_matrix(mat)
     n = len(a)
     if n > MAX_EXACT_ORDER:
         raise SizeLimit(f"exact characteristic polynomial capped at n = {MAX_EXACT_ORDER}")
-    rng = range(n)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[1 if i == j else 0 for j in rng] for i in rng]  # M_1 = I
+    coeffs = [0] * n
+    am = a.copy()   # A M_1 with M_1 = I; copied, as the diagonal update is in place
     for k in range(1, n + 1):
-        if k > 1:
-            prev = m
-            m = [[sum(a[i][t] * prev[t][j] for t in rng) for j in rng] for i in rng]
-            c = coeffs[n - k + 1]
-            for i in rng:
-                m[i][i] += c
-        trace_am = sum(a[i][t] * m[t][i] for i in rng for t in rng)
+        trace_am = am.trace()
         if trace_am % k:
             raise LoopspecError("non-exact division in Faddeev-LeVerrier")
-        coeffs[n - k] = -(trace_am // k)
-    return CharPoly(tuple(coeffs[:n]))
+        c = -(trace_am // k)
+        coeffs[n - k] = c
+        if k < n:
+            am.flat[::n + 1] += c   # M_(k+1) = A M_k + c I
+            am = a.dot(am)
+    return CharPoly(tuple(coeffs))
 
 
 def digraph_charpoly(d: Digraph) -> CharPoly:
@@ -324,86 +328,105 @@ def digraph_spectrum(d: Digraph, *, with_residuals: bool = True) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# Exact square-free decomposition (rational arithmetic throughout)
+# Exact square-free decomposition (integer arithmetic throughout)
+#
+# Polynomials are ascending integer coefficient lists; the zero polynomial
+# is [0].  Every gcd taken below divides a monic integer polynomial, so by
+# Gauss's lemma its primitive part has leading coefficient +-1: it is monic
+# up to sign, and every division is by a monic divisor.
 
-def _frac_normalize(p: list[Fraction]) -> list[Fraction]:
+def _int_normalize(p: list[int]) -> list[int]:
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return p
 
 
-def _frac_deriv(p: Sequence[Fraction]) -> list[Fraction]:
-    return _frac_normalize([p[i] * i for i in range(1, len(p))] or [Fraction(0)])
+def _int_deriv(p: Sequence[int]) -> list[int]:
+    return _int_normalize([p[i] * i for i in range(1, len(p))] or [0])
 
 
-def _frac_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    if len(b) == 1 and b[0] == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        f = a[shift + len(b) - 1] / b[-1]
-        q[shift] = f
-        if f:
-            for i, bc in enumerate(b):
-                a[shift + i] -= f * bc
-    return _frac_normalize(q), _frac_normalize(a[:len(b) - 1] or [Fraction(0)])
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients, leading coefficient > 0."""
+    g = math.gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p] if g not in (0, 1) else p
 
 
-def _frac_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a = _frac_normalize(list(a))
-    b = _frac_normalize(list(b))
-    while not (len(b) == 1 and b[0] == 0):
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]  # monic
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A remainder of lc(b)^e * a by b, for some e >= 0, in integers."""
+    r = list(a)
+    lead_b = b[-1]
+    while len(r) >= len(b) and r != [0]:
+        lead, shift = r[-1], len(r) - len(b)
+        r = [lead_b * c for c in r]
+        for i, bc in enumerate(b):
+            r[shift + i] -= lead * bc
+        r.pop()   # the leading term cancels
+        r = _int_normalize(r or [0])
+    return r
+
+
+def _monic_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """gcd of two integer polynomials by the primitive pseudo-remainder
+    sequence (Brown 1971); monic, since it divides a monic polynomial."""
+    a, b = _primitive(list(a)), list(b)
+    while b != [0]:
+        b = _primitive(b)
+        a, b = b, _pseudo_remainder(a, b)
+    if a[-1] != 1:
+        raise LoopspecError("factor of a monic integer polynomial must be monic")
     return a
 
 
-def _to_monic_int(p: Sequence[Fraction]) -> list[int]:
-    if p[-1] != 1:
-        p = [c / p[-1] for c in p]
-    out = []
-    for c in p:
-        if c.denominator != 1:
-            raise LoopspecError("factor of a monic integer polynomial must be integral")
-        out.append(int(c))
-    return out
+def _divide_monic(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Exact quotient a / b for monic b; a nonzero remainder is an error."""
+    r = list(a)
+    q = [0] * max(1, len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = r[shift + len(b) - 1]
+        q[shift] = c
+        if c:
+            for i, bc in enumerate(b):
+                r[shift + i] -= c * bc
+    if any(r[:len(b) - 1]):
+        raise LoopspecError("non-exact polynomial division")
+    return _int_normalize(q)
+
+
+def _minus_deriv(y: list[int], w: list[int]) -> list[int]:
+    """y - w' (Yun's d_i)."""
+    return _int_normalize([yc - wc for yc, wc in
+                           itertools.zip_longest(y, _int_deriv(w), fillvalue=0)])
 
 
 def square_free_decomposition(coeffs: Sequence[int]) -> list[tuple[list[int], int]]:
-    """Yun's algorithm on a monic integer polynomial.
+    """Yun's algorithm on a monic integer polynomial, in integers.
 
     Returns (factor, multiplicity) pairs with monic integer square-free
     factors whose multiplicity-weighted product reproduces the input.
+    Raises ``LoopspecError`` on a non-monic input, or if a division that
+    must be exact leaves a remainder.
     """
-    p = [Fraction(c) for c in coeffs]
-    p = _frac_normalize(p)
+    p = _int_normalize([int(c) for c in coeffs])
     if len(p) < 2:
         return []
-    d = _frac_deriv(p)
-    g = _frac_gcd(p, d)
+    if p[-1] != 1:
+        raise LoopspecError("polynomial must be monic")
+    d = _int_deriv(p)
+    g = _monic_gcd(p, d)
     if len(g) == 1:
-        return [(_to_monic_int(p), 1)]
-    w, r = _frac_divmod(p, g)
-    assert len(r) == 1 and r[0] == 0
-    y, r = _frac_divmod(d, g)
-    assert len(r) == 1 and r[0] == 0
-    z = _frac_normalize([yc - wc for yc, wc in
-                         itertools.zip_longest(y, _frac_deriv(w), fillvalue=Fraction(0))])
+        return [(p, 1)]
+    w = _divide_monic(p, g)
+    z = _minus_deriv(_divide_monic(d, g), w)
     out: list[tuple[list[int], int]] = []
     k = 1
     while len(w) > 1:
-        g1 = _frac_gcd(w, z)
-        if len(g1) > 1:
-            out.append((_to_monic_int(g1), k))
-        w, r = _frac_divmod(w, g1)
-        assert len(r) == 1 and r[0] == 0
-        y, r = _frac_divmod(z, g1)
-        assert len(r) == 1 and r[0] == 0
-        z = _frac_normalize([yc - wc for yc, wc in
-                             itertools.zip_longest(y, _frac_deriv(w), fillvalue=Fraction(0))])
+        g = _monic_gcd(w, z)
+        if len(g) > 1:
+            out.append((g, k))
+        w = _divide_monic(w, g)
+        z = _minus_deriv(_divide_monic(z, g), w)
         k += 1
     return out
 
@@ -483,7 +506,7 @@ def poly_roots(p: CharPoly | Sequence[int]) -> Spectrum:
     multiplicities.
 
     Roots at zero deflate exactly off the low-order coefficients; the rest
-    is split into square-free factors by exact rational arithmetic, so
+    is split into square-free factors in exact integer arithmetic, so
     Aberth iteration only ever sees simple roots.  The stored residuals are
     relative polynomial residuals |p(z)| / sum |a_k z^k|.
     """
@@ -543,79 +566,3 @@ def matching_distance(a: Spectrum | Sequence[complex],
             for perm in itertools.permutations(ys))
         return min(worst, best_perm)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Geometric symmetrization and diagonal similarity
-
-def geometric_symmetrization(mat) -> np.ndarray:
-    """Entrywise sqrt(a_ij * a_ji).
-
-    For a 0/1 matrix this keeps exactly the digons and loops.  Requires all
-    products nonnegative.
-    """
-    a = _as_float_matrix(mat)
-    products = a * a.T
-    if np.any(products < 0):
-        raise NegativeProduct("a_ij * a_ji < 0 somewhere")
-    return np.sqrt(products)
-
-
-def diagonal_similarity_witness(a, b) -> list[float] | None:
-    """A nonzero diagonal d with diag(d) A diag(d)^-1 = B, or None.
-
-    Propagates the ratio constraints d_i / d_j = b_ij / a_ij along a BFS,
-    then checks every constraint.
-    """
-    a = _as_float_matrix(a)
-    b = _as_float_matrix(b)
-    if a.shape != b.shape:
-        raise LoopspecError("shape mismatch")
-    n = len(a)
-    for i in range(n):
-        for j in range(n):
-            if (a[i, j] == 0) != (b[i, j] == 0):
-                return None
-    d = [0.0] * n
-    for root in range(n):
-        if d[root]:
-            continue
-        d[root] = 1.0
-        queue = [root]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if i == j or d[j]:
-                    continue
-                # d_i * a_ij / d_j = b_ij and d_j * a_ji / d_i = b_ji
-                if a[i, j] != 0:
-                    d[j] = d[i] * a[i, j] / b[i, j]
-                    queue.append(j)
-                elif a[j, i] != 0:
-                    d[j] = d[i] * b[j, i] / a[j, i]
-                    queue.append(j)
-    for i in range(n):
-        for j in range(n):
-            if a[i, j] != 0 and abs(d[i] * a[i, j] / d[j] - b[i, j]) > 1e-9:
-                return None
-    return d
-
-
-def diagonally_similar_to_symmetrization(mat, *, verify: bool = False) -> bool:
-    """For a 0/1 matrix, diagonal similarity to its geometric
-    symmetrization happens exactly when the matrix is already symmetric,
-    so the test collapses to the symmetry check.
-
-    ``verify=True`` additionally runs the explicit diagonal-witness search
-    and raises if it ever disagrees (a debug mode for small matrices).
-    """
-    a = _as_float_matrix(mat)
-    if not np.all((a == 0) | (a == 1)):
-        raise LoopspecError("matrix entries must be 0 or 1")
-    symmetric = bool(np.array_equal(a, a.T))
-    if verify:
-        witness = diagonal_similarity_witness(a, geometric_symmetrization(a))
-        if (witness is not None) != symmetric:
-            raise LoopspecError(
-                "diagonal-similarity witness disagrees with symmetry test")
-    return symmetric

@@ -2,8 +2,10 @@
 
 The energy of a loop-digraph is the total deviation of eigenvalue real
 parts from sigma/n, the mean diagonal entry.  ``GraphFacts`` memoizes the
-derived data (spectrum, strong components, complement, exact polynomial)
-that several consumers would otherwise recompute.
+derived data (spectrum, strong components, complement, exact polynomial,
+component analysis) that several consumers would otherwise recompute, once
+per distinct matrix: a strongly connected graph is its own component, and
+a graph whose arcs all lie on cycles is its own pruned form.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from . import scc
 from .errors import CounterexampleError, NotRegular
@@ -22,6 +24,9 @@ from .linalg import (CharPoly, Spectrum, adjacency, char_poly_exact,
                      digraph_spectrum, poly_roots)
 from .tolerances import (SPECTRUM_MATCH_TOL, TRACE_TOL, at_least, at_most,
                          strictly_greater)
+
+if TYPE_CHECKING:
+    from .decomposition import ComponentAnalysis
 
 
 @dataclass(frozen=True)
@@ -108,12 +113,24 @@ class GraphFacts:
 
     @cached_property
     def component_facts(self) -> list["GraphFacts"]:
+        """One facts object per strong component; a strongly connected
+        graph is its own single component."""
+        if self.partition.k == 1:
+            return [self]
         return [GraphFacts(c, with_residuals=self.with_residuals)
                 for c in self.components]
 
     @cached_property
     def pruned(self) -> Digraph:
         return scc.prune_non_cycle_arcs(self.d, self.partition)
+
+    @cached_property
+    def pruned_charpoly(self) -> CharPoly:
+        """Charpoly of ``pruned``, which is ``d`` itself when every arc
+        lies on a cycle."""
+        if self.pruned is self.d:
+            return self.charpoly
+        return char_poly_exact(adjacency(self.pruned))
 
     @cached_property
     def complement_digraph(self) -> Digraph:
@@ -127,6 +144,13 @@ class GraphFacts:
     @cached_property
     def regularity(self):
         return regularity(self.d)
+
+    @cached_property
+    def analysis(self) -> ComponentAnalysis:
+        """``decomposition.analyze`` of this graph, shared by the
+        implication checks."""
+        from . import decomposition   # decomposition builds on this module
+        return decomposition.analyze(self)
 
     def energy_report(self, verified: bool = False) -> EnergyReport:
         if verified:

@@ -36,9 +36,8 @@ from .decomposition import ImplicationStatus
 from .errors import CounterexampleError, SizeLimit
 from .formats import to_json_dict
 from .graphs import Digraph, complement, degrees
-from .linalg import (MAX_ENUMERATION_ORDER, adjacency, char_poly_exact,
-                     charpoly_product, linear_subdigraph_charpoly,
-                     matching_distance)
+from .linalg import (MAX_ENUMERATION_ORDER, charpoly_product,
+                     linear_subdigraph_charpoly, matching_distance)
 from .spectral import GraphFacts
 from .tolerances import SPECTRUM_MATCH_TOL, TRACE_TOL
 
@@ -189,7 +188,7 @@ def check_charpoly_invariance(facts: GraphFacts) -> CheckOutcome:
     """Pruning non-cycle arcs and splitting into strong components both
     preserve the exact characteristic polynomial."""
     own = facts.charpoly
-    pruned = char_poly_exact(adjacency(facts.pruned))
+    pruned = facts.pruned_charpoly
     if own != pruned:
         return CheckOutcome("fail", f"pruned charpoly differs: {own} vs {pruned}")
     product = charpoly_product(f.charpoly for f in facts.component_facts)
@@ -206,7 +205,7 @@ def check_zero_energy(facts: GraphFacts) -> CheckOutcome:
 def check_complement_involution(facts: GraphFacts) -> CheckOutcome:
     """Complement is an involution below sigma = n; a fully looped graph
     maps through a loopless complement back to its loopless projection."""
-    twice = complement(complement(facts.d))
+    twice = complement(facts.complement_digraph)
     expected = facts.d if facts.sigma < facts.n else facts.d.loopless()
     if twice != expected:
         return CheckOutcome("fail", "double complement mismatch")

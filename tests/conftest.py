@@ -1,8 +1,9 @@
-"""Shared named graphs.
+"""Shared named graphs and reports.
 
 The small menagerie used throughout: the looped complete pair, the
 two-loop directed triangle, their disjoint union, and the loopy complete
-bipartite example.
+bipartite example.  The exhaustive n = 4 McClelland and rho-lower census
+is swept once per session for every test that reads it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,13 @@ from __future__ import annotations
 import pytest
 
 from loopspec import (complete, complete_bipartite, directed_cycle,
-                      disjoint_union, empty_digraph, new_digraph)
+                      disjoint_union, empty_digraph, new_digraph, sweep)
+
+
+@pytest.fixture(scope="session")
+def census_n4():
+    """``sweep(4, ["mcclelland", "rho_lower"])``; read it, never mutate it."""
+    return sweep(4, ["mcclelland", "rho_lower"])
 
 
 @pytest.fixture

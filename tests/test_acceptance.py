@@ -180,7 +180,7 @@ def _unproven_witness_steps(d) -> list[str]:
     return [name for name, holds in steps.items() if not holds]
 
 
-def test_criterion_5_equality_census():
+def test_criterion_5_equality_census(census_n4):
     """Equality census at n = 2 and n = 4 against the published equality
     characterizations.
 
@@ -195,8 +195,7 @@ def test_criterion_5_equality_census():
     """
     findings = {}
     rho_structure_ok = True
-    for n in (2, 4):
-        rep = sweep(n, ["mcclelland", "rho_lower"])
+    for n, rep in ((2, sweep(2, ["mcclelland", "rho_lower"])), (4, census_n4)):
         findings[n] = rep.census_findings
         rho_structure_ok &= not any(
             f["bound_id"] == "rho_lower" for f in rep.census_findings)

@@ -1,19 +1,17 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from loopspec import (CharPoly, LoopspecError, NegativeProduct,
-                      SizeLimit, adjacency, char_poly_exact, charpoly_product,
-                      complete, count_two_cycles,
-                      diagonally_similar_to_symmetrization,
-                      digraph_charpoly, digraph_spectrum, directed_cycle,
-                      eigenvalues, geometric_symmetrization,
-                      linear_subdigraph_charpoly, matching_distance,
-                      new_digraph, poly_roots)
-from loopspec.linalg import diagonal_similarity_witness, square_free_decomposition
+from loopspec import (CharPoly, LoopspecError, SizeLimit, adjacency,
+                      char_poly_exact, charpoly_product, complete,
+                      count_two_cycles, digraph_charpoly, digraph_spectrum,
+                      eigenvalues, linear_subdigraph_charpoly,
+                      matching_distance, new_digraph, poly_roots)
+from loopspec.linalg import _divide_monic, square_free_decomposition
 from loopspec.spectral import trace_identities
 from loopspec.sweep import (digraph_from_bits, iterate_all, orbit_classes,
                             random_digraph)
@@ -75,10 +73,32 @@ class TestCharPolyExact:
     def test_rejects_non_integer(self):
         with pytest.raises(LoopspecError):
             char_poly_exact(np.array([[0.5, 0], [0, 1]]))
+        with pytest.raises(LoopspecError):   # once truncated to [[0, 0], [0, 1]]
+            char_poly_exact(np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object))
+        assert char_poly_exact(np.array([[Fraction(2), 0], [0, 1]], dtype=object)) == \
+            CharPoly((2, -3))
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             char_poly_exact(np.zeros((65, 65), dtype=np.int64))
+
+    def test_coefficients_beyond_int64(self):
+        # A triangular matrix has charpoly prod (x - a_ii); with diagonal
+        # entries near 1e4 at n = 20 the constant term is about 1e80.
+        n = 20
+        diagonal = [10_000 + 37 * i for i in range(n)]
+        a = np.triu(np.arange(n * n, dtype=np.int64).reshape(n, n) % 3, 1)
+        a[np.diag_indices(n)] = diagonal
+        poly = char_poly_exact(a)
+        assert max(abs(c) for c in poly.coeffs) > 2 ** 63
+        assert poly == charpoly_product(CharPoly((-x,)) for x in diagonal)
+
+    def test_all_ones_at_the_size_cap(self):
+        # J_64 has rank one with trace 64: charpoly x^63 (x - 64).
+        poly = char_poly_exact(np.ones((64, 64), dtype=np.int64))
+        assert poly.coeffs == (0,) * 63 + (-64,)
+        with pytest.raises(SizeLimit):
+            char_poly_exact(np.ones((65, 65), dtype=np.int64))
 
     def test_evaluation(self, k2_plus):
         poly = digraph_charpoly(k2_plus)
@@ -209,12 +229,41 @@ class TestSquareFreeDecomposition:
         factors = square_free_decomposition([-1, -1, 1])
         assert factors == [([-1, -1, 1], 1)]
 
-    def test_reconstruction(self):
-        full = (-2, 5, -3, -1, 1)  # (x - 1)^3 (x + 2)
+    @staticmethod
+    def _rebuilt(full):
         polys = []
         for coeffs, mult in square_free_decomposition(full):
+            assert coeffs[-1] == 1 and len(coeffs) > 1
             polys.extend([CharPoly(tuple(coeffs[:-1]))] * mult)
-        assert charpoly_product(polys).full() == full
+        return charpoly_product(polys).full()
+
+    def test_reconstruction(self):
+        full = (-2, 5, -3, -1, 1)  # (x - 1)^3 (x + 2)
+        assert self._rebuilt(full) == full
+
+    def test_reconstructs_every_n4_class_charpoly(self):
+        masks, _ = orbit_classes(4)
+        assert len(masks) == 3044
+        for mask in masks:
+            full = digraph_charpoly(digraph_from_bits(4, mask)).full()
+            assert self._rebuilt(full) == full
+
+    def test_three_multiplicities(self):
+        # (x - 1)^5 (x + 1)^3 (x^2 + x + 1)^2, factors by multiplicity
+        full = charpoly_product([CharPoly((-1,))] * 5 + [CharPoly((1,))] * 3
+                                + [CharPoly((1, 1))] * 2).full()
+        assert square_free_decomposition(full) == [
+            ([1, 1, 1], 2), ([1, 1], 3), ([-1, 1], 5)]
+        assert self._rebuilt(full) == full
+
+    def test_inexact_division_rejected(self):
+        assert _divide_monic([-1, 0, 1], [1, 1]) == [-1, 1]
+        with pytest.raises(LoopspecError):
+            _divide_monic([1, 0, 1], [1, 1])   # x^2 + 1 = (x + 1)(x - 1) + 2
+
+    def test_non_monic_rejected(self):
+        with pytest.raises(LoopspecError):
+            square_free_decomposition([-2, 0, 2])
 
 
 class TestPolyRoots:
@@ -288,49 +337,3 @@ class TestMatchingDistance:
         xs = [0.0, 1.0]
         ys = [1.0, 0.0]
         assert matching_distance(xs, ys) == 0
-
-
-class TestGeometricSymmetrization:
-    def test_directed_cycle_loses_arcs(self):
-        s = geometric_symmetrization(adjacency(directed_cycle(3)))
-        assert not s.any()
-
-    def test_symmetric_fixed_point(self, k2_plus):
-        a = adjacency(k2_plus)
-        assert np.array_equal(geometric_symmetrization(a), a.astype(float))
-
-    def test_one_way_arc(self):
-        assert not geometric_symmetrization(np.array([[0, 1], [0, 0]])).any()
-
-    def test_negative_product_rejected(self):
-        with pytest.raises(NegativeProduct):
-            geometric_symmetrization(np.array([[0, 1], [-1, 0]]))
-
-
-class TestDiagonalSimilarity:
-    def test_symmetric_cases(self, k2_plus):
-        assert diagonally_similar_to_symmetrization(adjacency(k2_plus))
-        assert diagonally_similar_to_symmetrization(np.eye(3))
-
-    def test_directed_cycle(self):
-        assert not diagonally_similar_to_symmetrization(adjacency(directed_cycle(3)))
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(LoopspecError):
-            diagonally_similar_to_symmetrization(np.array([[2, 0], [0, 0]]))
-
-    def test_witness_search_agrees_on_all_3x3(self):
-        # The witness search independently confirms the collapse to the
-        # symmetry test on every 0/1 matrix of order 3.
-        for mask in range(512):
-            a = adjacency(digraph_from_bits(3, mask))
-            assert diagonally_similar_to_symmetrization(a, verify=True) == bool(
-                np.array_equal(a, a.T))
-
-    def test_witness_for_scaled_pair(self):
-        a = np.array([[0.0, 2.0], [1.0, 0.0]])
-        b = np.array([[0.0, 1.0], [2.0, 0.0]])
-        d = diagonal_similarity_witness(a, b)
-        assert d is not None
-        dm = np.diag(d)
-        assert np.allclose(dm @ a @ np.linalg.inv(dm), b)

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import collections
+import importlib
 import itertools
 
 import pytest
 
-from loopspec import SizeLimit, complete, new_digraph
+from loopspec import (SizeLimit, complete, decomposition, linalg, new_digraph,
+                      spectral)
 from loopspec.bounds import (FAMILY_UNRECOGNIZED, STRUCTURE_UNRECOGNIZED,
                              mcclelland_equality_family,
                              rho_lower_equality_structure)
 from loopspec.formats import from_json_dict, to_json_dict
 from loopspec.spectral import GraphFacts
 from loopspec.sweep import (CheckOutcome, THEOREM_CHECKS, _census_signature,
-                            digraph_from_bits, iterate_all, orbit_classes,
-                            random_digraph, resolve_theorems, sweep)
+                            _check_graph, _new_report, digraph_from_bits,
+                            iterate_all, orbit_classes, random_digraph,
+                            resolve_theorems, sweep)
 from mcclelland_witness import is_triangle_plus_looped_vertex
 
 
@@ -216,16 +220,45 @@ class TestSweep:
         assert len(calls) == 1
 
 
+class TestSharedWork:
+    def test_one_exact_charpoly_spectrum_and_analysis_per_matrix(self, monkeypatch):
+        # A strongly connected graph whose arcs all lie on cycles is its
+        # own component and its own pruned form, so all checks together
+        # need one exact charpoly, one analysis, and the spectra of the
+        # graph and of its complement, built once.
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        sweep_module = importlib.import_module("loopspec.sweep")  # not the function
+        for module, name in ((spectral, "char_poly_exact"), (linalg, "char_poly_exact"),
+                             (linalg, "eigenvalues"), (decomposition, "analyze"),
+                             (spectral, "complement"), (sweep_module, "complement")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        d = new_digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (3, 1)],
+                        [0, 3])
+        theorems = resolve_theorems("all")
+        report = _new_report(5, "random", theorems, {})
+        assert _check_graph(report, d, theorems, {})
+        assert report.checks["sufficient_condition"].na == 1   # one component
+        assert calls == {"char_poly_exact": 1, "eigenvalues": 2, "analyze": 1,
+                         "complement": 2}
+
+
 class TestCensusFindings:
     def test_none_below_order_four(self):
         report = sweep(3, ["mcclelland", "rho_lower"])
         assert report.census_findings == []
 
-    def test_directed_triangle_plus_looped_vertex_found(self):
+    def test_directed_triangle_plus_looped_vertex_found(self, census_n4):
         # The one known gap in the published McClelland equality family
         # list: a directed triangle with a looped isolated vertex attains
         # the bound exactly (E = 3 = sqrt(9)) yet is none of the families.
-        report = sweep(4, ["mcclelland"])
+        report = census_n4
         assert report.checks["mcclelland"].failed == 0  # the bound itself holds
         assert len(report.census_findings) == 1
         finding = report.census_findings[0]
@@ -233,9 +266,9 @@ class TestCensusFindings:
         assert is_triangle_plus_looped_vertex(finding["graph"])
         assert not report.ok
 
-    def test_witness_records_the_structural_verdict(self):
+    def test_witness_records_the_structural_verdict(self, census_n4):
         # census_findings reads the verdict from each entry's witness.
-        report = sweep(4, ["mcclelland", "rho_lower"])
+        report = census_n4
         for bound_id, gap, unrecognized in (
                 ("mcclelland",
                  lambda f: mcclelland_equality_family(f) is None,
