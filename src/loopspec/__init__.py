@@ -12,13 +12,11 @@ from .errors import (BadPartition, CounterexampleError, FormatError,
                      IdOutOfRange, LoopspecError, NegativeProduct,
                      NoConvergence, NotRegular, OrderTooSmall,
                      SelfPairInArcList, SizeLimit)
-from .graphs import (BidegreeProfile, DegreeProfile, Digraph, LoopGraph,
-                     bidegree_profile, complement, complete,
+from .graphs import (DegreeProfile, Digraph, complement, complete,
                      complete_bipartite, complete_multipartite,
                      count_two_cycles, degrees, directed_cycle,
                      disjoint_union, empty_digraph, generate, is_acyclic,
-                     new_digraph, new_loop_graph, regularity, symmetrize,
-                     undirected_view)
+                     new_digraph, regularity)
 from .formats import dumps_json, from_json_dict, from_text, load_path, loads, to_json_dict, to_text
 from .scc import (SccPartition, component_digraphs, induced_subdigraph,
                   is_disjoint_union_of_components, non_cycle_arcs,
@@ -38,7 +36,9 @@ from .bounds import (ALL_BOUND_IDS, BoundCertificate, all_certificates,
 from .decomposition import (ComponentAnalysis, ImplicationRecord,
                             ImplicationStatus, ab_remark_check, analyze,
                             necessary_condition, sufficient_condition)
+# The function ``sweep`` is not re-exported, so ``loopspec.sweep`` stays
+# the submodule; import it as ``from loopspec.sweep import sweep``.
 from .sweep import (SweepReport, census_findings, iterate_all,
-                    random_digraph, sweep, THEOREM_CHECKS)
+                    random_digraph, THEOREM_CHECKS)
 
 __version__ = "0.1.0"

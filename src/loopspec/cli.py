@@ -20,6 +20,7 @@ LOOPSPEC_TOL environment variable overrides the equality tolerance
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -33,8 +34,7 @@ from . import __version__, bounds, decomposition, schemas
 from .errors import CounterexampleError, FormatError, LoopspecError, NoConvergence
 from .sweep import sweep as run_sweep
 from .formats import load_path, loads, to_json_dict
-from .graphs import (complement, complete, complete_bipartite,
-                     complete_multipartite, directed_cycle, empty_digraph)
+from .graphs import FAMILIES, complement, generate
 from .scc import non_cycle_arcs
 from .spectral import GraphFacts
 
@@ -240,33 +240,23 @@ def _parse_loops(raw: str, n: int) -> list[int]:
 
 def _cmd_generate(args) -> int:
     family = args.family
-    if family == "complete":
-        d = complete(args.n, _parse_loops(args.loops, args.n))
-    elif family == "empty":
-        d = empty_digraph(args.n, _parse_loops(args.loops, args.n))
-    elif family == "directed_cycle":
-        d = directed_cycle(args.n, _parse_loops(args.loops, args.n))
-    elif family == "complete_bipartite":
+    if family == "complete_bipartite":
         if args.a is None or args.b is None:
             print("complete_bipartite needs --a and --b", file=sys.stderr)
             return EXIT_USAGE
-        d = complete_bipartite(args.a, args.b,
-                               _parse_loops(args.loops, args.a + args.b))
+        shape = {"a": args.a, "b": args.b}
+        n = args.a + args.b
     elif family == "complete_multipartite":
         if not args.parts:
             print("complete_multipartite needs --parts", file=sys.stderr)
             return EXIT_USAGE
-        sizes = [int(tok) for tok in args.parts.split(",")]
-        n = sum(sizes)
-        parts = []
-        offset = 0
-        for size in sizes:
-            parts.append(list(range(offset, offset + size)))
-            offset += size
-        d = complete_multipartite(parts, _parse_loops(args.loops, n))
+        ends = list(itertools.accumulate(int(tok) for tok in args.parts.split(",")))
+        shape = {"parts": [list(range(lo, hi)) for lo, hi in zip([0] + ends, ends)]}
+        n = ends[-1]
     else:
-        print(f"unknown family {family!r}", file=sys.stderr)
-        return EXIT_USAGE
+        shape = {"n": args.n}
+        n = args.n
+    d = generate(family, loops=_parse_loops(args.loops, n), **shape)
     print(json.dumps(to_json_dict(d), sort_keys=True), flush=True)
     return EXIT_OK
 
@@ -286,7 +276,6 @@ def _cmd_sweep(args) -> int:
         report = run_sweep(
             args.n,
             theorems,
-            exhaustive=args.samples is None,
             samples=args.samples,
             seed=args.seed,
             arc_prob=args.arc_prob,
@@ -339,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("graph", help="graph file, or - for stdin")
 
     gen = sub.add_parser("generate", help="named family graph (canonical JSON)")
-    gen.add_argument("--family", required=True,
-                     choices=["empty", "complete", "complete_multipartite",
-                              "complete_bipartite", "directed_cycle"])
+    gen.add_argument("--family", required=True, choices=list(FAMILIES))
     gen.add_argument("--n", type=int, default=None, help="vertex count")
     gen.add_argument("--a", type=int, default=None, help="first bipartite part size")
     gen.add_argument("--b", type=int, default=None, help="second bipartite part size")
@@ -363,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--arc-prob", type=float, default=0.5)
     sw.add_argument("--loop-prob", type=float, default=0.5)
     sw.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for an exhaustive sweep, 1..cpu count")
+                    help="worker processes, 1..cpu count")
     sw.add_argument("--out", default=None, help="also write the report here")
     sw.add_argument("--table", action="store_true")
     return parser

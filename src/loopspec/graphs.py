@@ -9,13 +9,11 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadPartition, IdOutOfRange, LoopspecError, SelfPairInArcList
 
 Arc = tuple[int, int]
-Edge = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -72,52 +70,11 @@ class Digraph:
 
 
 @dataclass(frozen=True)
-class LoopGraph:
-    """Undirected graph with at most one loop per vertex.
-
-    Edges are stored as (min, max) pairs of distinct endpoints.
-    """
-
-    n: int
-    edges: frozenset[Edge]
-    loops: frozenset[int]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise LoopspecError("vertex count must be positive")
-        for u, v in self.edges:
-            if u == v:
-                raise SelfPairInArcList(f"({u}, {v}) supplied as an edge")
-            if u > v:
-                raise LoopspecError(f"edge ({u}, {v}) not stored as (min, max)")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise IdOutOfRange(f"edge ({u}, {v}) outside [0, {self.n})")
-        for v in self.loops:
-            if not (0 <= v < self.n):
-                raise IdOutOfRange(f"loop at {v} outside [0, {self.n})")
-
-
-@dataclass(frozen=True)
 class DegreeProfile:
-    """Out/in degrees (loops count once) and undirected-view degrees
-    (loops count twice)."""
+    """Out/in degrees; a loop counts once in each."""
 
     out_deg: tuple[int, ...]
     in_deg: tuple[int, ...]
-    gs_deg: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BidegreeProfile:
-    """The at-most-two distinct undirected-view degree values.
-
-    ``loops_on_large`` reports whether every looped vertex takes the larger
-    value and every loopless vertex takes the smaller one.
-    """
-
-    small: int
-    large: int
-    loops_on_large: bool
 
 
 def new_digraph(n: int, arcs: Iterable[Arc] = (), loops: Iterable[int] = ()) -> Digraph:
@@ -130,35 +87,21 @@ def new_digraph(n: int, arcs: Iterable[Arc] = (), loops: Iterable[int] = ()) -> 
                    frozenset(int(v) for v in loops))
 
 
-def new_loop_graph(n: int, edges: Iterable[Edge] = (), loops: Iterable[int] = ()) -> LoopGraph:
-    """Build a validated, deduplicated undirected loop-graph."""
-    norm = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise SelfPairInArcList(f"({u}, {v}) supplied as an edge")
-        norm.add((min(u, v), max(u, v)))
-    return LoopGraph(n, frozenset(norm), frozenset(int(v) for v in loops))
-
-
 def degrees(d: Digraph) -> DegreeProfile:
     """Degree vectors of ``d``.
 
     Out/in degrees are the row/column sums of the adjacency matrix, so a
-    loop contributes one to each.  ``gs_deg`` is the undirected-view degree
-    where a loop contributes two; it equals the loop-graph degree whenever
-    ``d`` is a symmetrization.
+    loop contributes one to each.
     """
     out = [0] * d.n
     inn = [0] * d.n
     for u, v in d.arcs:
         out[u] += 1
         inn[v] += 1
-    gs = [out[v] + 2 * (v in d.loops) for v in range(d.n)]
     for v in d.loops:
         out[v] += 1
         inn[v] += 1
-    return DegreeProfile(tuple(out), tuple(inn), tuple(gs))
+    return DegreeProfile(tuple(out), tuple(inn))
 
 
 def regularity(d: Digraph) -> Optional[int]:
@@ -168,24 +111,6 @@ def regularity(d: Digraph) -> Optional[int]:
     if all(o == r and i == r for o, i in zip(prof.out_deg, prof.in_deg)):
         return r
     return None
-
-
-def symmetrize(g: LoopGraph) -> Digraph:
-    """Replace each edge by two opposite arcs and each undirected loop by
-    one directed loop."""
-    arcs = set()
-    for u, v in g.edges:
-        arcs.add((u, v))
-        arcs.add((v, u))
-    return Digraph(g.n, frozenset(arcs), g.loops)
-
-
-def undirected_view(d: Digraph) -> LoopGraph:
-    """Inverse of ``symmetrize``; requires a symmetric arc set."""
-    if not d.is_symmetric():
-        raise LoopspecError("digraph is not symmetric")
-    edges = frozenset((min(u, v), max(u, v)) for u, v in d.arcs)
-    return LoopGraph(d.n, edges, d.loops)
 
 
 def complement(d: Digraph) -> Digraph:
@@ -248,35 +173,6 @@ def is_acyclic(d: Digraph) -> bool:
             if indeg[v] == 0:
                 queue.append(v)
     return seen == d.n
-
-
-def loop_graph_degrees(g: LoopGraph) -> tuple[int, ...]:
-    """Undirected degrees with each loop contributing two."""
-    deg = [0] * g.n
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    for v in g.loops:
-        deg[v] += 2
-    return tuple(deg)
-
-
-def bidegree_profile(g: LoopGraph) -> Optional[BidegreeProfile]:
-    """The (a, b) degree pattern of ``g`` if at most two distinct
-    undirected-view degrees occur, else None.
-
-    A single common value r is reported as (r, r).
-    """
-    deg = loop_graph_degrees(g)
-    values = sorted(set(deg))
-    if len(values) > 2:
-        return None
-    small = values[0]
-    large = values[-1]
-    loops_on_large = all(
-        deg[v] == (large if v in g.loops else small) for v in range(g.n)
-    )
-    return BidegreeProfile(small, large, loops_on_large)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +244,3 @@ def generate(family: str, **kwargs) -> Digraph:
         raise LoopspecError(f"unknown family {family!r}") from None
     return builder(**kwargs)
 
-
-def loop_ratio(d: Digraph) -> Fraction:
-    """sigma / n as an exact rational; the energy's centering constant."""
-    return Fraction(d.sigma, d.n)

@@ -7,18 +7,25 @@ least bit pattern, in ascending order.  Each class counts with its orbit
 size n!/|Aut|, so ``graphs_checked`` and every pass/fail/na tally equal
 those of a walk over all 2**(n*n) labeled graphs.  The least pattern of a
 class is also the first of its graphs in bit-pattern order, so the census
-entries and witnesses are the ones a labeled walk would report.  The
+entries and witnesses are the ones a labeled walk would report.  A sampled
+sweep checks seeded random bit patterns, each with weight 1.  The
 equality census deduplicates by a sorted-degree plus
 characteristic-polynomial signature.
 
+Both modes run the same loop.  An input source yields chunks of (bit
+pattern, weight) pairs; one chunk runner checks each chunk, serially or
+in a worker process, and ``sweep`` merges the chunks in order.
+
 A failed check is a counterexample to a published statement; the sweep
-stops, serializes the witness graph, and the report carries it.  An
-exhaustive sweep that stops counts the weighted classes checked up to and
-including the failing one, whose least labeling is the witness.
+stops, serializes the witness graph, and the report carries it.  A sweep
+that stops counts the weighted graphs checked up to and including the
+failing one; in an exhaustive sweep that graph is the least labeling of
+its class.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -27,7 +34,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -116,65 +123,47 @@ def orbit_classes(n: int) -> tuple[list[int], list[int]]:
 
 def random_digraph(n: int, arc_prob: float, loop_prob: float, seed: int) -> Digraph:
     """Independent Bernoulli arcs and loops; reproducible from the seed."""
+    return digraph_from_bits(n, _sample_mask(n, arc_prob, loop_prob, seed))
+
+
+def _sample_mask(n: int, arc_prob: float, loop_prob: float, seed: int) -> int:
+    """One uniform draw per adjacency entry in row-major order; an entry is
+    set when its draw falls below its probability (``loop_prob`` on the
+    diagonal, ``arc_prob`` off it)."""
     if not (0.0 <= arc_prob <= 1.0 and 0.0 <= loop_prob <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     rng = random.Random(seed)
-    arcs = []
-    loops = []
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                if rng.random() < loop_prob:
-                    loops.append(u)
-            elif rng.random() < arc_prob:
-                arcs.append((u, v))
-    return Digraph(n, frozenset(arcs), frozenset(loops))
+    return sum(1 << k for k in range(n * n)
+               if rng.random() < (loop_prob if k % (n + 1) == 0 else arc_prob))
 
 
 # ---------------------------------------------------------------------------
 # Individual theorem checks
 
-def _cert_outcome(*certs: bounds.BoundCertificate, extra_fail: str | None = None) -> CheckOutcome:
+def _cert_outcome(*certs: bounds.BoundCertificate) -> CheckOutcome:
     bad = [c for c in certs if not c.holds]
-    if bad or extra_fail:
-        detail = extra_fail or "; ".join(
-            f"{c.bound_id}: lhs={c.lhs!r} rhs={c.rhs!r}" for c in bad)
-        return CheckOutcome("fail", detail, tuple(certs))
-    return CheckOutcome("pass", None, tuple(certs))
+    if bad:
+        detail = "; ".join(f"{c.bound_id}: lhs={c.lhs!r} rhs={c.rhs!r}" for c in bad)
+        return CheckOutcome("fail", detail, certs)
+    return CheckOutcome("pass", None, certs)
 
 
-def check_mcclelland(facts: GraphFacts) -> CheckOutcome:
-    return _cert_outcome(bounds.mcclelland(facts))
+def _certified(bound: str) -> Callable[[GraphFacts], CheckOutcome]:
+    """The check that every certificate ``bounds.<bound>`` returns holds.
 
-
-def check_rho_lower(facts: GraphFacts) -> CheckOutcome:
-    return _cert_outcome(bounds.rho_lower(facts))
-
-
-def check_energy_lower_c2(facts: GraphFacts) -> CheckOutcome:
-    return _cert_outcome(bounds.energy_lower_c2(facts))
+    The bound is looked up by name on each call, so whatever is bound to
+    that name at the time (a tracing wrapper, say) sees the call.
+    """
+    def check(facts: GraphFacts) -> CheckOutcome:
+        certs = getattr(bounds, bound)(facts)
+        return _cert_outcome(*(certs if isinstance(certs, tuple) else (certs,)))
+    return check
 
 
 def check_rho_upper(facts: GraphFacts) -> CheckOutcome:
     if facts.n < 2:
         return CheckOutcome("na", "needs n >= 2")
     return _cert_outcome(bounds.rho_upper(facts))
-
-
-def check_component_gap(facts: GraphFacts) -> CheckOutcome:
-    return _cert_outcome(bounds.component_gap(facts))
-
-
-def check_complement_rho_sum(facts: GraphFacts) -> CheckOutcome:
-    return _cert_outcome(*bounds.complement_rho_sum(facts))
-
-
-def check_complement_energy_sum(facts: GraphFacts) -> CheckOutcome:
-    return _cert_outcome(bounds.complement_energy_sum(facts))
-
-
-def check_power_sums(facts: GraphFacts) -> CheckOutcome:
-    return _cert_outcome(*bounds.power_sum_bounds(facts))
 
 
 def check_trace_identities(facts: GraphFacts) -> CheckOutcome:
@@ -298,14 +287,14 @@ def check_loop_shift(facts: GraphFacts) -> CheckOutcome:
 
 
 THEOREM_CHECKS: dict[str, Callable[[GraphFacts], CheckOutcome]] = {
-    "mcclelland": check_mcclelland,
-    "rho_lower": check_rho_lower,
-    "energy_lower_c2": check_energy_lower_c2,
+    "mcclelland": _certified("mcclelland"),
+    "rho_lower": _certified("rho_lower"),
+    "energy_lower_c2": _certified("energy_lower_c2"),
     "rho_upper": check_rho_upper,
-    "component_gap": check_component_gap,
-    "complement_rho_sum": check_complement_rho_sum,
-    "complement_energy_sum": check_complement_energy_sum,
-    "power_sums": check_power_sums,
+    "component_gap": _certified("component_gap"),
+    "complement_rho_sum": _certified("complement_rho_sum"),
+    "complement_energy_sum": _certified("complement_energy_sum"),
+    "power_sums": _certified("power_sum_bounds"),
     "trace_identities": check_trace_identities,
     "charpoly_invariance": check_charpoly_invariance,
     "zero_energy": check_zero_energy,
@@ -440,16 +429,13 @@ def census_findings(report: SweepReport) -> list[dict]:
     return findings
 
 
-def _mask_of(d: Digraph) -> int:
-    """Inverse of ``digraph_from_bits``."""
-    cells = list(d.arcs) + [(v, v) for v in d.loops]
-    return sum(1 << (i * d.n + j) for i, j in cells)
-
-
-def _check_graph(report: SweepReport, d: Digraph, theorems: list[str],
-                 census_seen: dict[str, set[str]], weight: int = 1) -> bool:
-    """Run the selected checks on ``d``, which stands for ``weight`` labeled
-    graphs; returns False when a counterexample stops the sweep."""
+def _check_graph(report: SweepReport, mask: int, theorems: list[str],
+                 weight: int) -> bool:
+    """Run the selected checks on the graph with bit pattern ``mask``, which
+    stands for ``weight`` labeled graphs; returns False when a
+    counterexample stops the sweep.  Each equality certificate adds a
+    census entry; the merge keeps the first one per signature."""
+    d = digraph_from_bits(report.n, mask)
     facts = GraphFacts(d, with_residuals=False)
     report.graphs_checked += weight
     signature = None
@@ -476,17 +462,27 @@ def _check_graph(report: SweepReport, d: Digraph, theorems: list[str],
                 # Interned, as is the witness, so the reports a process
                 # keeps share these strings.
                 signature = signature or sys.intern(_census_signature(facts))
-                seen = census_seen.setdefault(cert.bound_id, set())
-                if signature not in seen:
-                    seen.add(signature)
-                    witness = cert.witness and sys.intern(cert.witness)
-                    report.census_entries.setdefault(cert.bound_id, []).append(
-                        (_mask_of(d), signature, witness))
+                witness = cert.witness and sys.intern(cert.witness)
+                report.census_entries.setdefault(cert.bound_id, []).append(
+                    (mask, signature, witness))
     return True
+
+
+def _run_chunk(args: tuple) -> SweepReport:
+    """Check a chunk of graphs, given by bit pattern and weight, until the
+    first counterexample."""
+    n, masks, weights, theorems = args
+    report = _new_report(n, "", theorems, {})
+    for mask, weight in zip(masks, weights):
+        if not _check_graph(report, mask, theorems, weight):
+            break
+    return report
 
 
 def _merge_reports(into: SweepReport, part: SweepReport,
                    census_seen: dict[str, set[str]]) -> None:
+    """Add ``part`` to ``into``; the census keeps the first entry of each
+    signature, so parts must arrive in sweep order."""
     into.graphs_checked += part.graphs_checked
     for name, tally in part.checks.items():
         target = into.checks[name]
@@ -502,26 +498,47 @@ def _merge_reports(into: SweepReport, part: SweepReport,
                 into.census_entries.setdefault(bound_id, []).append(entry)
 
 
-def _run_classes(args: tuple) -> SweepReport:
-    """Check a run of relabeling classes, given by least mask and orbit
-    size, until the first counterexample."""
-    n, masks, weights, theorems = args
-    report = _new_report(n, "exhaustive", theorems, {})
-    census_seen: dict[str, set[str]] = {}
-    for mask, weight in zip(masks, weights):
-        if not _check_graph(report, digraph_from_bits(n, mask), theorems,
-                            census_seen, weight):
-            break
-    return report
+_PART_CLASSES = 4096   # graphs per unit of work handed to one worker
 
 
-_PART_CLASSES = 4096   # classes per unit of work handed to one worker
+def _parts(total: int, jobs: int) -> Iterator[range]:
+    """Consecutive index ranges over ``total`` graphs, small enough that
+    ``jobs`` workers all get some."""
+    step = max(1, min(_PART_CLASSES, -(-total // jobs)))
+    return (range(lo, min(lo + step, total)) for lo in range(0, total, step))
+
+
+def _class_source(n: int, jobs: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Chunks of the least mask of every relabeling class, with orbit sizes."""
+    masks, weights = orbit_classes(n)
+    return ((masks[r.start:r.stop], weights[r.start:r.stop])
+            for r in _parts(len(masks), jobs))
+
+
+def _sample_source(n: int, samples: int, seed: int, arc_prob: float,
+                   loop_prob: float, jobs: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Chunks of sample masks, drawn as they are needed: sample i is
+    ``random_digraph(n, arc_prob, loop_prob, seed + i)`` and counts once."""
+    return (([_sample_mask(n, arc_prob, loop_prob, seed + i) for i in r], [1] * len(r))
+            for r in _parts(samples, jobs))
+
+
+def _map_ahead(pool: ProcessPoolExecutor, fn: Callable, items: Iterable,
+               ahead: int) -> Iterator:
+    """``map(fn, items)`` on the pool, in order, with at most ``ahead``
+    items submitted and not yet read."""
+    pending: collections.deque = collections.deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def sweep(n: int,
           theorems: Sequence[str] | str = "all",
           *,
-          exhaustive: bool = True,
           samples: int | None = None,
           seed: int = 0,
           arc_prob: float = 0.5,
@@ -529,45 +546,38 @@ def sweep(n: int,
           jobs: int = 1) -> SweepReport:
     """Run the selected theorem checks over many graphs.
 
-    Exhaustive mode covers all 2**(n*n) labeled graphs (n <= 5) by checking
-    one graph per relabeling class, weighted by its orbit size; ``jobs``
-    worker processes share the classes.  Sampled mode draws ``samples``
-    seeded random graphs instead.  The sweep stops at the first
-    counterexample and serializes the witness in the report.
+    Without ``samples`` the sweep is exhaustive: it covers all 2**(n*n)
+    labeled graphs (n <= 5) by checking one graph per relabeling class,
+    weighted by its orbit size.  With ``samples`` it checks that many
+    seeded random graphs instead.  Either way ``jobs`` worker processes
+    share the chunks, which merge in order, so every ``jobs`` value gives
+    the serial report.  The sweep stops at the first counterexample and
+    serializes the witness in the report.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     selected = resolve_theorems(theorems)
     start_time = time.perf_counter()
-    if exhaustive and samples is None:
-        masks, weights = orbit_classes(n)
+    if samples is None:
         report = _new_report(n, "exhaustive", selected, {"exhaustive": True})
-        census_seen: dict[str, set[str]] = {}
-        step = min(_PART_CLASSES, -(-len(masks) // jobs))
-        parts = [(n, masks[lo:lo + step], weights[lo:lo + step], selected)
-                 for lo in range(0, len(masks), step)]
-        pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-        try:
-            # Parts merge in class order and the first counterexample ends
-            # the sweep, so every ``jobs`` value gives the serial report.
-            for part in (pool.map if pool else map)(_run_classes, parts):
-                _merge_reports(report, part, census_seen)
-                if part.counterexamples:
-                    break
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+        source = _class_source(n, jobs)
     else:
-        if samples is None:
-            raise ValueError("sampled mode needs a sample count")
         params = {"exhaustive": False, "samples": samples, "seed": seed,
                   "arc_prob": arc_prob, "loop_prob": loop_prob}
         report = _new_report(n, "random", selected, params)
-        census_seen = {}
-        for i in range(samples):
-            d = random_digraph(n, arc_prob, loop_prob, seed + i)
-            if not _check_graph(report, d, selected, census_seen):
+        source = _sample_source(n, samples, seed, arc_prob, loop_prob, jobs)
+    work = ((n, masks, weights, selected) for masks, weights in source)
+    census_seen: dict[str, set[str]] = {}
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    try:
+        parts = _map_ahead(pool, _run_chunk, work, 2 * jobs) if pool else map(_run_chunk, work)
+        for part in parts:
+            _merge_reports(report, part, census_seen)
+            if part.counterexamples:
                 break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     report.census_findings = census_findings(report)
     report.wall_time = time.perf_counter() - start_time
     return report

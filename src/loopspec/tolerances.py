@@ -59,7 +59,3 @@ def strictly_greater(x: float, threshold: float, eps: float = THRESHOLD_EPS) -> 
     """x > threshold; values inside the boundary band count as not greater."""
     return x > threshold + eps
 
-
-def strictly_less(x: float, threshold: float, eps: float = THRESHOLD_EPS) -> bool:
-    """x < threshold; values inside the boundary band count as not less."""
-    return x < threshold - eps

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from loopspec import (complete, complete_bipartite, directed_cycle,
-                      disjoint_union, empty_digraph, new_digraph, sweep)
+                      disjoint_union, empty_digraph, new_digraph)
+from loopspec.sweep import sweep
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib
 import json
 import os
 import subprocess
@@ -9,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import loopspec.sweep
 from loopspec import dumps_json, loads, new_digraph, to_text
 from loopspec.cli import main
 from loopspec.errors import NoConvergence
@@ -170,13 +170,10 @@ class TestSweepCommand:
         assert "--exhaustive" in err
 
     def test_jobs_out_of_range(self, capsys, monkeypatch):
-        # The package rebinds the name ``sweep`` to the function.
-        sweep_mod = importlib.import_module("loopspec.sweep")
-
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(loopspec.sweep, "ProcessPoolExecutor", no_pool)
         for jobs in (0, (os.cpu_count() or 1) + 1):
             code, out, err = run(capsys, "sweep", "--n", "2", "--jobs", str(jobs))
             assert code == 1

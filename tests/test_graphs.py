@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopspec import (BadPartition, IdOutOfRange, SelfPairInArcList,
-                      adjacency, bidegree_profile, complement, complete,
-                      complete_bipartite, complete_multipartite,
+                      adjacency, complement, complete, complete_multipartite,
                       count_two_cycles, degrees, directed_cycle,
                       disjoint_union, empty_digraph, generate, is_acyclic,
-                      new_digraph, new_loop_graph, regularity, symmetrize,
-                      undirected_view)
+                      new_digraph, regularity)
 from loopspec.sweep import iterate_all
 
 
@@ -85,26 +83,6 @@ class TestRegularity:
 
     def test_full_digon(self, k2_full):
         assert regularity(k2_full) == 2
-
-
-class TestSymmetrize:
-    def test_k2_with_loop(self, k2_plus):
-        g = new_loop_graph(2, [(0, 1)], [0])
-        assert symmetrize(g) == k2_plus
-
-    def test_edgeless_all_loops(self):
-        g = new_loop_graph(3, [], [0, 1, 2])
-        d = symmetrize(g)
-        assert np.array_equal(adjacency(d), np.eye(3, dtype=np.int64))
-
-    def test_triangle(self):
-        g = new_loop_graph(3, [(0, 1), (1, 2), (0, 2)], [])
-        d = symmetrize(g)
-        assert d.m == 6 and d.is_symmetric()
-
-    def test_undirected_view_round_trip(self):
-        g = new_loop_graph(4, [(0, 1), (2, 3)], [1])
-        assert undirected_view(symmetrize(g)) == g
 
 
 class TestComplement:
@@ -203,26 +181,3 @@ class TestAcyclic:
 
     def test_path_with_loop(self):
         assert is_acyclic(new_digraph(3, [(0, 1), (1, 2)], [1]))
-
-
-class TestBidegree:
-    def test_k2_one_loop(self):
-        g = new_loop_graph(2, [(0, 1)], [0])
-        prof = bidegree_profile(g)
-        assert (prof.small, prof.large) == (1, 3)
-        assert prof.loops_on_large
-
-    def test_triangle_single_value(self):
-        g = new_loop_graph(3, [(0, 1), (1, 2), (0, 2)], [])
-        prof = bidegree_profile(g)
-        assert (prof.small, prof.large) == (2, 2)
-
-    def test_star(self):
-        g = new_loop_graph(4, [(0, 1), (0, 2), (0, 3)], [])
-        prof = bidegree_profile(g)
-        assert (prof.small, prof.large) == (1, 3)
-
-    def test_three_values_absent(self):
-        g = new_loop_graph(3, [(0, 1)], [0])
-        # degrees 3, 1, 0
-        assert bidegree_profile(g) is None

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import collections
-import importlib
 import itertools
 
 import pytest
 
+import loopspec.sweep as sweep_module
 from loopspec import (SizeLimit, complete, decomposition, linalg, new_digraph,
                       spectral)
 from loopspec.bounds import (FAMILY_UNRECOGNIZED, STRUCTURE_UNRECOGNIZED,
@@ -14,9 +14,9 @@ from loopspec.bounds import (FAMILY_UNRECOGNIZED, STRUCTURE_UNRECOGNIZED,
 from loopspec.formats import from_json_dict, to_json_dict
 from loopspec.spectral import GraphFacts
 from loopspec.sweep import (CheckOutcome, THEOREM_CHECKS, _census_signature,
-                            _check_graph, _new_report, digraph_from_bits,
-                            iterate_all, orbit_classes, random_digraph,
-                            resolve_theorems, sweep)
+                            _run_chunk, digraph_from_bits, iterate_all,
+                            orbit_classes, random_digraph, resolve_theorems,
+                            sweep)
 from mcclelland_witness import is_triangle_plus_looped_vertex
 
 
@@ -68,12 +68,12 @@ class TestOrbitClasses:
             orbit_classes(6)
 
 
-def _labeled_reference(n: int) -> dict:
-    """``sweep(n, "all")`` as a walk over every labeled graph, one
-    census entry per signature in mask order."""
+def _walk_reference(n: int, graphs: list, mode: str, params: dict) -> dict:
+    """The report of running every check on ``graphs`` one by one, with
+    one census entry per signature in walk order."""
     checks = {name: {"pass": 0, "fail": 0, "na": 0} for name in THEOREM_CHECKS}
     census: dict[str, list[dict]] = {}
-    for d in iterate_all(n):
+    for d in graphs:
         facts = GraphFacts(d, with_residuals=False)
         for name, check in THEOREM_CHECKS.items():
             outcome = check(facts)
@@ -94,10 +94,10 @@ def _labeled_reference(n: int) -> dict:
             if gap(GraphFacts(from_json_dict(entry["graph"]))):
                 findings.append({"bound_id": bound_id, "graph": entry["graph"],
                                  "reason": reason})
-    return {"n": n, "mode": "exhaustive", "theorems": list(THEOREM_CHECKS),
-            "graphs_checked": 1 << (n * n), "checks": checks,
+    return {"n": n, "mode": mode, "theorems": list(THEOREM_CHECKS),
+            "graphs_checked": len(graphs), "checks": checks,
             "equality_census": census, "counterexamples": [],
-            "census_findings": findings, "params": {"exhaustive": True},
+            "census_findings": findings, "params": params,
             "wall_time": 0.0}
 
 
@@ -167,10 +167,8 @@ class TestSweep:
         assert a == b
 
     def test_sampled_mode_deterministic(self):
-        a = sweep(5, ["trace_identities"], exhaustive=False, samples=20,
-                  seed=9).to_json_dict()
-        b = sweep(5, ["trace_identities"], exhaustive=False, samples=20,
-                  seed=9).to_json_dict()
+        a = sweep(5, ["trace_identities"], samples=20, seed=9).to_json_dict()
+        b = sweep(5, ["trace_identities"], samples=20, seed=9).to_json_dict()
         a["wall_time"] = b["wall_time"] = 0.0
         assert a == b
 
@@ -193,7 +191,17 @@ class TestSweep:
         for n in (1, 2, 3):
             report = sweep(n, "all").to_json_dict()
             report["wall_time"] = 0.0
-            assert report == _labeled_reference(n)
+            assert report == _walk_reference(n, list(iterate_all(n)), "exhaustive",
+                                             {"exhaustive": True})
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_samples_match_seeded_walk(self, jobs):
+        report = sweep(5, "all", samples=30, seed=9, jobs=jobs).to_json_dict()
+        report["wall_time"] = 0.0
+        graphs = [random_digraph(5, 0.5, 0.5, 9 + i) for i in range(30)]
+        params = {"exhaustive": False, "samples": 30, "seed": 9,
+                  "arc_prob": 0.5, "loop_prob": 0.5}
+        assert report == _walk_reference(5, graphs, "random", params)
 
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -1):
@@ -219,6 +227,37 @@ class TestSweep:
         assert not report.ok
         assert len(calls) == 1
 
+    def test_parallel_matches_serial_over_many_parts(self, monkeypatch):
+        # Parts of 8 graphs: more parts are in flight than there are
+        # workers, and they must still merge in order.
+        monkeypatch.setattr(sweep_module, "_PART_CLASSES", 8)
+        for kwargs in ({}, {"samples": 100, "seed": 5}):
+            serial = sweep(3, "all", jobs=1, **kwargs).to_json_dict()
+            parallel = sweep(3, "all", jobs=2, **kwargs).to_json_dict()
+            serial["wall_time"] = parallel["wall_time"] = 0.0
+            assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sampled_counterexample_stops_at_its_sample(self, monkeypatch, jobs):
+        # Sample 1 of seed 20 fails.  In parts of 4 samples, two workers
+        # check later parts too, but the merge stops at the first.
+        monkeypatch.setattr(sweep_module, "_PART_CLASSES", 4)
+        target = random_digraph(4, 0.5, 0.5, 21)
+        assert random_digraph(4, 0.5, 0.5, 20) != target
+
+        def fail_on_target(facts):
+            if facts.d == target:
+                return CheckOutcome("fail", "synthetic")
+            return CheckOutcome("pass")
+
+        monkeypatch.setitem(THEOREM_CHECKS, "synthetic_fail", fail_on_target)
+        report = sweep(4, ["synthetic_fail"], samples=30, seed=20, jobs=jobs)
+        payload = report.to_json_dict()
+        assert payload["graphs_checked"] == 2
+        assert payload["checks"] == {"synthetic_fail": {"pass": 1, "fail": 1, "na": 0}}
+        assert payload["counterexamples"] == [
+            {"check": "synthetic_fail", "graph": to_json_dict(target), "detail": "synthetic"}]
+
 
 class TestSharedWork:
     def test_one_exact_charpoly_spectrum_and_analysis_per_matrix(self, monkeypatch):
@@ -234,16 +273,16 @@ class TestSharedWork:
                 return fn(*args, **kwargs)
             return wrapper
 
-        sweep_module = importlib.import_module("loopspec.sweep")  # not the function
         for module, name in ((spectral, "char_poly_exact"), (linalg, "char_poly_exact"),
                              (linalg, "eigenvalues"), (decomposition, "analyze"),
                              (spectral, "complement"), (sweep_module, "complement")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        d = new_digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (3, 1)],
-                        [0, 3])
-        theorems = resolve_theorems("all")
-        report = _new_report(5, "random", theorems, {})
-        assert _check_graph(report, d, theorems, {})
+        arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (3, 1)]
+        loops = [0, 3]
+        mask = sum(1 << (5 * i + j) for i, j in arcs + [(v, v) for v in loops])
+        assert digraph_from_bits(5, mask) == new_digraph(5, arcs, loops)
+        report = _run_chunk((5, [mask], [1], resolve_theorems("all")))
+        assert report.counterexamples == []
         assert report.checks["sufficient_condition"].na == 1   # one component
         assert calls == {"char_poly_exact": 1, "eigenvalues": 2, "analyze": 1,
                          "complement": 2}
