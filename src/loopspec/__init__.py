@@ -9,9 +9,8 @@ with explicit slack, and fuzzes the whole theory over all small graphs.
 """
 
 from .errors import (BadPartition, CounterexampleError, FormatError,
-                     IdOutOfRange, LoopspecError, NegativeProduct,
-                     NoConvergence, NotRegular, OrderTooSmall,
-                     SelfPairInArcList, SizeLimit)
+                     IdOutOfRange, LoopspecError, NoConvergence, NotRegular,
+                     OrderTooSmall, SelfPairInArcList, SizeLimit)
 from .graphs import (DegreeProfile, Digraph, complement, complete,
                      complete_bipartite, complete_multipartite,
                      count_two_cycles, degrees, directed_cycle,
@@ -19,8 +18,7 @@ from .graphs import (DegreeProfile, Digraph, complement, complete,
                      new_digraph, regularity)
 from .formats import dumps_json, from_json_dict, from_text, load_path, loads, to_json_dict, to_text
 from .scc import (SccPartition, component_digraphs, induced_subdigraph,
-                  is_disjoint_union_of_components, non_cycle_arcs,
-                  prune_non_cycle_arcs, strong_components)
+                  non_cycle_arcs, prune_non_cycle_arcs, strong_components)
 from .linalg import (CharPoly, Spectrum, adjacency, char_poly_exact,
                      charpoly_product, digraph_charpoly, digraph_spectrum,
                      eigenvalues, linear_subdigraph_charpoly,

@@ -10,6 +10,10 @@ closes stdout early ends the command quietly with 1), 2 a mathematical
 check failed (a certificate or sweep counterexample), 3 numerical
 non-convergence.
 
+Every JSON object printed follows a published schema in
+``loopspec.schemas``; the test suite enforces them, so no run checks its
+own output.
+
 Numeric fields are serialized with 12 significant digits.  Reports for
 identical inputs are byte-identical apart from the timestamp; pin the
 SOURCE_DATE_EPOCH environment variable to freeze that too.  The
@@ -28,9 +32,7 @@ import time
 from datetime import datetime, timezone
 from typing import Any
 
-import jsonschema
-
-from . import __version__, bounds, decomposition, schemas
+from . import __version__, bounds, decomposition
 from .errors import CounterexampleError, FormatError, LoopspecError, NoConvergence
 from .sweep import sweep as run_sweep
 from .formats import load_path, loads, to_json_dict
@@ -82,16 +84,13 @@ def _report(command: str, facts: GraphFacts | None, payload: dict) -> dict:
     if facts is not None:
         graph_summary = {"n": facts.n, "m": facts.m, "sigma": facts.sigma,
                          "c2": facts.c2}
-    report = {
+    return {
         "command": command,
         "input": graph_summary,
         "payload": payload,
         "version": __version__,
         "timestamp": _timestamp(),
     }
-    jsonschema.validate(payload, schemas.PAYLOAD_SCHEMAS[command])
-    jsonschema.validate(report, schemas.REPORT_ENVELOPE)
-    return report
 
 
 def _emit(obj: dict, table: bool = False) -> None:
@@ -186,11 +185,12 @@ def _cmd_bounds(args) -> int:
 def _cmd_scc(args) -> int:
     facts = GraphFacts(_read_graph(args.graph), with_residuals=True)
     part = facts.partition
+    crossing = sorted(non_cycle_arcs(facts.d, part))
     payload = {
         "component_of": list(part.component_of),
         "components": [list(c) for c in part.components],
-        "non_cycle_arcs": [[u, v] for u, v in sorted(non_cycle_arcs(facts.d, part))],
-        "is_disjoint_union_of_components": not non_cycle_arcs(facts.d, part),
+        "non_cycle_arcs": [[u, v] for u, v in crossing],
+        "is_disjoint_union_of_components": not crossing,
     }
     _emit(_report("scc", facts, payload), args.table)
     return EXIT_OK
@@ -230,12 +230,20 @@ def _cmd_complement(args) -> int:
     return EXIT_OK
 
 
+def _int_list(raw: str, flag: str) -> list[int]:
+    try:
+        return [int(tok) for tok in raw.split(",")]
+    except ValueError:
+        raise LoopspecError(f"{flag} takes comma separated integers, "
+                            f"not {raw!r}") from None
+
+
 def _parse_loops(raw: str, n: int) -> list[int]:
     if raw == "all":
         return list(range(n))
     if raw in ("none", ""):
         return []
-    return [int(tok) for tok in raw.split(",")]
+    return _int_list(raw, "--loops")
 
 
 def _cmd_generate(args) -> int:
@@ -250,10 +258,13 @@ def _cmd_generate(args) -> int:
         if not args.parts:
             print("complete_multipartite needs --parts", file=sys.stderr)
             return EXIT_USAGE
-        ends = list(itertools.accumulate(int(tok) for tok in args.parts.split(",")))
+        ends = list(itertools.accumulate(_int_list(args.parts, "--parts")))
         shape = {"parts": [list(range(lo, hi)) for lo, hi in zip([0] + ends, ends)]}
         n = ends[-1]
     else:
+        if args.n is None:
+            print(f"{family} needs --n", file=sys.stderr)
+            return EXIT_USAGE
         shape = {"n": args.n}
         n = args.n
     d = generate(family, loops=_parse_loops(args.loops, n), **shape)

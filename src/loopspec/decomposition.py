@@ -59,14 +59,6 @@ class ComponentAnalysis:
     def k(self) -> int:
         return len(self.components)
 
-    @property
-    def a_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c.a_indices) for c in self.components)
-
-    @property
-    def b_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c.b_indices) for c in self.components)
-
 
 @dataclass(frozen=True)
 class ImplicationRecord:

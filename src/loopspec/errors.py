@@ -35,10 +35,6 @@ class OrderTooSmall(LoopspecError):
     """The bound is only defined for n >= 2."""
 
 
-class NegativeProduct(LoopspecError):
-    """Geometric symmetrization needs a_ij * a_ji >= 0 everywhere."""
-
-
 class NoConvergence(LoopspecError):
     """An iterative solver exceeded its iteration cap or its residual
     contract.  This signals a solver bug, not bad input."""

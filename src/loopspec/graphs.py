@@ -46,9 +46,6 @@ class Digraph:
         """Number of self-loops."""
         return len(self.loops)
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
     def arc_list(self) -> list[Arc]:
         return sorted(self.arcs)
 

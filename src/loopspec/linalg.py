@@ -214,9 +214,6 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.values)
 
-    def real_parts(self) -> tuple[float, ...]:
-        return tuple(z.real for z in self.values)
-
     def rho(self) -> float:
         return max(abs(z) for z in self.values)
 

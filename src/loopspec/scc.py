@@ -121,8 +121,3 @@ def prune_non_cycle_arcs(d: Digraph, part: SccPartition | None = None) -> Digrap
     if not dead:
         return d
     return Digraph(d.n, d.arcs - dead, d.loops)
-
-
-def is_disjoint_union_of_components(d: Digraph, part: SccPartition | None = None) -> bool:
-    """True iff no arc crosses between strong components."""
-    return not non_cycle_arcs(d, part)

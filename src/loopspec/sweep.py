@@ -32,7 +32,6 @@ import math
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -523,8 +522,7 @@ def _sample_source(n: int, samples: int, seed: int, arc_prob: float,
             for r in _parts(samples, jobs))
 
 
-def _map_ahead(pool: ProcessPoolExecutor, fn: Callable, items: Iterable,
-               ahead: int) -> Iterator:
+def _map_ahead(pool, fn: Callable, items: Iterable, ahead: int) -> Iterator:
     """``map(fn, items)`` on the pool, in order, with at most ``ahead``
     items submitted and not yet read."""
     pending: collections.deque = collections.deque()
@@ -568,7 +566,11 @@ def sweep(n: int,
         source = _sample_source(n, samples, seed, arc_prob, loop_prob, jobs)
     work = ((n, masks, weights, selected) for masks, weights in source)
     census_seen: dict[str, set[str]] = {}
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        # Imported here, so that only a parallel sweep loads the pool.
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         parts = _map_ahead(pool, _run_chunk, work, 2 * jobs) if pool else map(_run_chunk, work)
         for part in parts:

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-import loopspec.sweep
-from loopspec import dumps_json, loads, new_digraph, to_text
+import loopspec
+from loopspec import dumps_json, loads, new_digraph, schemas, to_text
 from loopspec.cli import main
 from loopspec.errors import NoConvergence
 
@@ -27,8 +28,17 @@ def pinned_clock(monkeypatch):
 
 
 def run(capsys, *argv):
+    """Run the CLI; check any JSON it prints against its published schema."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out and "--table" not in argv:
+        printed = json.loads(captured.out)
+        if argv[0] in ("generate", "complement"):
+            jsonschema.validate(printed, schemas.GRAPH)
+        else:
+            assert printed["command"] == argv[0]
+            jsonschema.validate(printed, schemas.REPORT_ENVELOPE)
+            jsonschema.validate(printed["payload"], schemas.PAYLOAD_SCHEMAS[argv[0]])
     return code, captured.out, captured.err
 
 
@@ -91,7 +101,17 @@ class TestSccCommand:
         assert code == 0
         payload = json.loads(out)["payload"]
         assert sorted(len(c) for c in payload["components"]) == [2, 3]
+        assert payload["non_cycle_arcs"] == []
         assert payload["is_disjoint_union_of_components"]
+
+    def test_path(self, capsys, tmp_path, path3):
+        path = tmp_path / "path.json"
+        path.write_text(dumps_json(path3))
+        code, out, _ = run(capsys, "scc", str(path))
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["non_cycle_arcs"] == [[0, 1], [1, 2]]
+        assert not payload["is_disjoint_union_of_components"]
 
 
 class TestDecomposeCommand:
@@ -134,6 +154,18 @@ class TestGraphCommands:
         code, _, err = run(capsys, "generate", "--family", "complete_bipartite")
         assert code == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (["--family", "complete"], "complete needs --n"),
+        (["--family", "empty"], "empty needs --n"),
+        (["--family", "directed_cycle"], "directed_cycle needs --n"),
+        (["--family", "complete_multipartite", "--parts", "2,x"],
+         "error: --parts takes comma separated integers, not '2,x'"),
+        (["--family", "complete", "--n", "3", "--loops", "0,x"],
+         "error: --loops takes comma separated integers, not '0,x'"),
+    ], ids=["complete", "empty", "directed_cycle", "parts", "loops"])
+    def test_generate_usage_errors(self, capsys, args, message):
+        assert run(capsys, "generate", *args) == (1, "", message + "\n")
+
     def test_complement(self, capsys, tmp_path, k2_full):
         path = tmp_path / "full.json"
         path.write_text(dumps_json(k2_full))
@@ -173,7 +205,7 @@ class TestSweepCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(loopspec.sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         for jobs in (0, (os.cpu_count() or 1) + 1):
             code, out, err = run(capsys, "sweep", "--n", "2", "--jobs", str(jobs))
             assert code == 1
@@ -188,6 +220,12 @@ class TestSweepCommand:
                              "--theorems", "synthetic_fail")
         assert code == 2
         assert "counterexample" in err
+
+    def test_census_finding_exit_code(self, capsys):
+        code, out, err = run(capsys, "sweep", "--n", "4", "--theorems", "mcclelland")
+        assert code == 2
+        assert len(json.loads(out)["payload"]["census_findings"]) == 1
+        assert err.startswith("census finding for mcclelland")
 
 
 class TestErrorPaths:
@@ -249,6 +287,21 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == ""
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_schema_checker_or_pool(self):
+        """Only ``sweep --jobs`` above 1 needs the process pool, and only
+        the tests check output against the schemas."""
+        src = str(Path(loopspec.__file__).parents[1])
+        code = ("import sys; before = set(sys.modules); import loopspec.cli; "
+                "print(sorted({'jsonschema', 'concurrent.futures', 'multiprocessing'} "
+                "& (set(sys.modules) - before)))")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestDeterminism:

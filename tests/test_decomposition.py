@@ -25,8 +25,8 @@ class TestAnalyze:
         assert analysis.permutation == (1, 0)
         assert round(analysis.total_energy, 4) == 4.3458
         assert round(analysis.sum_component_energy, 4) == 4.4125
-        assert analysis.a_sizes == (1, 1)
-        assert analysis.b_sizes == (1, 1)
+        assert [len(c.a_indices) for c in analysis.components] == [1, 1]
+        assert [len(c.b_indices) for c in analysis.components] == [1, 1]
 
     def test_single_component(self, k2_plus):
         analysis = analyze(k2_plus)

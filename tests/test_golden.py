@@ -55,6 +55,11 @@ def test_exhaustive_criterion_3_n4():
         "1436c5eb038d8dd887953209040d0b5a66533df453812f8fc8d064fdc7e067df"
 
 
+def test_exhaustive_all_checks_n4():
+    assert report_digest(sweep(4, "all")) == \
+        "b8ac4048a4f6936b64f70934c7c272b17c4b8adf0c4eb48baf69a3a1e5848225"
+
+
 SAMPLED = [
     # All checks at n = 7, at seeds where an earlier eigenvalue polish
     # reported false trace-identity counterexamples.

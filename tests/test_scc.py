@@ -1,8 +1,7 @@
 from __future__ import annotations
 
 from loopspec import (complete, digraph_charpoly, directed_cycle,
-                      is_disjoint_union_of_components, new_digraph,
-                      non_cycle_arcs, prune_non_cycle_arcs,
+                      new_digraph, non_cycle_arcs, prune_non_cycle_arcs,
                       strong_components)
 from loopspec.scc import component_digraphs, induced_subdigraph
 from loopspec.sweep import iterate_all
@@ -116,11 +115,14 @@ class TestPrune:
 
 
 class TestDisjointUnionPredicate:
+    """A digraph is the disjoint union of its strong components exactly
+    when no arc lies off every cycle."""
+
     def test_fig_union(self, fig_union):
-        assert is_disjoint_union_of_components(fig_union)
+        assert not non_cycle_arcs(fig_union)
 
     def test_path(self, path3):
-        assert not is_disjoint_union_of_components(path3)
+        assert non_cycle_arcs(path3)
 
     def test_cycle(self):
-        assert is_disjoint_union_of_components(directed_cycle(4))
+        assert not non_cycle_arcs(directed_cycle(4))
