@@ -12,15 +12,26 @@ Two independent eigenvalue routes keep floating-point results honest:
   Aberth-Ehrlich simultaneous iteration locates the simple roots of each
   square-free factor.
 
-``char_poly_exact`` (Faddeev-LeVerrier on a numpy object array of
-arbitrary-precision Python ints) and ``linear_subdigraph_charpoly``
+``char_poly_exact`` (Faddeev-LeVerrier) and ``linear_subdigraph_charpoly``
 (signed cycle-cover counts, by a depth-first search over the digraph's
 cycles) give the same dual-route treatment to the polynomial itself.
+
+Each route has a batch form that pays numpy's per-call cost once per
+stack of matrices instead of once per matrix: ``eigenvalues_many`` makes
+one stacked LAPACK call and polishes each matrix's values,
+``char_poly_exact_many`` runs Faddeev-LeVerrier on an int64 stack, and
+``poly_roots_many`` runs one Aberth iteration over the square-free factors
+of all its polynomials.  The one-matrix functions are these kernels on a
+stack of one, so both give the same values.  The int64 products are
+guarded: before each one, a bound on the entries proves that nothing can
+overflow, and from the first step the guard cannot prove it, the stack
+continues on numpy object arrays of Python ints.  A batch kernel reports
+a failed matrix or polynomial as its error in place of the result, so one
+failure leaves the rest of the stack.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import sys
@@ -57,30 +68,41 @@ def adjacency(d: Digraph) -> np.ndarray:
     return a
 
 
-def _as_int_matrix(mat) -> np.ndarray:
-    """The square integer matrix ``mat`` as a numpy array of Python ints."""
-    a = np.asarray(mat)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def _square_stack(a: np.ndarray, stacked: bool) -> np.ndarray:
+    """``a`` as a (k, n, n) stack: one matrix, or a stack of them."""
+    if a.ndim != 2 + stacked or a.shape[-1] != a.shape[-2]:
         raise LoopspecError("matrix must be square")
+    return a if stacked else a[None]
+
+
+def _as_int_stack(mats, stacked: bool = True) -> np.ndarray:
+    """The square integer matrices ``mats`` as a numpy integer stack, or a
+    stack of Python ints for an object array."""
+    a = _square_stack(np.asarray(mats), stacked)
     if a.dtype.kind == "f":
         if not np.all(a == np.round(a)):
             raise LoopspecError("matrix entries must be integers")
-        a = a.astype(np.int64)
-    elif a.dtype == object:
-        rows = a.tolist()
-        ints = [[int(x) for x in row] for row in rows]
-        if ints != rows:
+        return a.astype(np.int64)
+    if a.dtype == object:
+        cells = a.ravel().tolist()
+        ints = [int(x) for x in cells]
+        if ints != cells:
             raise LoopspecError("matrix entries must be integers")
         return np.array(ints, dtype=object).reshape(a.shape)
-    elif a.dtype.kind not in "iu":
+    if a.dtype.kind not in "iu":
         raise LoopspecError("matrix entries must be integers")
-    return a.astype(object)
+    return a
 
 
-def _as_float_matrix(mat) -> np.ndarray:
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise LoopspecError("matrix must be square")
+def _raise_or_return(result):
+    """The result of a batch kernel's row, raising it if it is an error."""
+    if isinstance(result, LoopspecError):
+        raise result
+    return result
+
+
+def _as_float_stack(mats, stacked: bool = True) -> np.ndarray:
+    a = _square_stack(np.asarray(mats, dtype=float), stacked)
     if not np.all(np.isfinite(a)):
         raise LoopspecError("matrix entries must be finite")
     return a
@@ -115,30 +137,64 @@ class CharPoly:
         return acc
 
 
-def char_poly_exact(mat) -> CharPoly:
-    """Faddeev-LeVerrier over arbitrary-precision integers.
+_INT64_MAX = 2 ** 63 - 1
 
-    The products A M_k run on a numpy object array of Python ints, so no
-    entry can overflow.  Every trace division by the step index is exact
-    for integer matrices and checked so.  Supports n <= 64; the big-integer
-    cost grows fast beyond that.
+
+def _fits_int64(bound: int, n: int) -> bool:
+    """The overflow guard of one Faddeev-LeVerrier step.  If no entry of
+    A M_k exceeds ``bound`` in magnitude, its trace (a sum of n entries) and
+    M_(k+1) = A M_k + c I (|c| <= the trace) stay below (n + 1) * bound."""
+    return (n + 1) * bound <= _INT64_MAX
+
+
+def char_poly_exact(mat) -> CharPoly:
+    """Faddeev-LeVerrier over the integers; see ``char_poly_exact_many``."""
+    return _char_polys(_as_int_stack(mat, stacked=False))[0]
+
+
+def char_poly_exact_many(mats) -> list[CharPoly]:
+    """Faddeev-LeVerrier over a (k, n, n) stack of integer matrices.
+
+    The products A M_k run on int64 while the overflow guard proves that no
+    entry of the next product, of its trace or of the next M_k can leave
+    int64.  The guard first propagates a bound on the entries, and measures
+    them only when that bound is too coarse: |A M_k| is at most the largest
+    absolute row sum of A times the largest entry of M_k.  From the first
+    step past the guard the stack continues on numpy object arrays of
+    Python ints, which cannot overflow.  Every trace division by the step
+    index is exact for integer matrices and checked so.  Supports n <= 64;
+    the big-integer cost grows fast beyond that.
     """
-    a = _as_int_matrix(mat)
-    n = len(a)
+    return _char_polys(_as_int_stack(mats))
+
+
+def _char_polys(a: np.ndarray) -> list[CharPoly]:
+    k, n = a.shape[0], a.shape[-1]
     if n > MAX_EXACT_ORDER:
         raise SizeLimit(f"exact characteristic polynomial capped at n = {MAX_EXACT_ORDER}")
-    coeffs = [0] * n
-    am = a.copy()   # A M_1 with M_1 = I; copied, as the diagonal update is in place
-    for k in range(1, n + 1):
-        trace_am = am.trace()
-        if trace_am % k:
-            raise LoopspecError("non-exact division in Faddeev-LeVerrier")
-        c = -(trace_am // k)
-        coeffs[n - k] = c
-        if k < n:
-            am.flat[::n + 1] += c   # M_(k+1) = A M_k + c I
-            am = a.dot(am)
-    return CharPoly(tuple(coeffs))
+    if a.size == 0:
+        return [CharPoly(())] * k
+    bound = max(int(a.max()), -int(a.min()))   # on the entries of A M_1 = A
+    a = a.astype(np.int64 if _fits_int64(bound, n) else object)
+    row_sum = n * bound   # at least every absolute row sum of A
+    traces = []   # traces[step - 1] = tr(A M_step) = -step c_step
+    am = a.copy()   # copied, as the diagonal update is in place
+    for step in range(1, n + 1):
+        diagonal = am.reshape(k, -1)[:, ::n + 1]
+        traces.append(np.add.reduce(diagonal, axis=1))
+        if step < n:
+            diagonal += (traces[-1] // -step)[:, None]   # M_(step+1) = A M_step + c I
+            bound *= row_sum * (n + 1)
+            if am.dtype != object and not _fits_int64(bound, n):
+                bound = int(np.abs(a).sum(axis=-1).max()) * max(int(am.max()), -int(am.min()))
+                if not _fits_int64(bound, n):
+                    a, am = a.astype(object), am.astype(object)
+            am = a @ am
+    steps = np.arange(n, 0, -1)
+    traces = np.stack(traces[::-1], axis=1)   # the constant term's first
+    if any((traces % steps).ravel().tolist()):
+        raise LoopspecError("non-exact division in Faddeev-LeVerrier")
+    return [CharPoly(tuple(row)) for row in (traces // -steps).tolist()]
 
 
 def digraph_charpoly(d: Digraph) -> CharPoly:
@@ -222,9 +278,13 @@ def _canonical(values: Iterable[complex]) -> tuple[complex, ...]:
     return tuple(sorted(values, key=lambda z: (-z.real, -z.imag)))
 
 
-def _coalesce_clusters(values: list[complex], scale: float) -> list[complex]:
+def _coalesce_clusters(values: list[complex], scale: float, close: bool) -> list[complex]:
     """Single-linkage clusters under CLUSTER_RTOL * scale; each cluster
-    whose spread fits a split multiple eigenvalue is replaced by its mean."""
+    whose spread fits a split multiple eigenvalue is replaced by its mean.
+    ``close=False`` says that no two values lie within that distance, so
+    that each is the mean of its own cluster."""
+    if not close:
+        return [sum([z]) / 1 for z in values]
     tol = CLUSTER_RTOL * scale
     k = len(values)
     parent = list(range(k))
@@ -283,26 +343,60 @@ def _conjugate_symmetrize(values: list[complex], tol: float) -> list[complex]:
 
 
 def eigenvalues(mat, *, with_residuals: bool = True) -> Spectrum:
-    """Spectrum of a real square matrix.
+    """Spectrum of a real square matrix; see ``eigenvalues_many``."""
+    return _raise_or_return(_spectra(_as_float_stack(mat, stacked=False), with_residuals)[0])
 
-    LAPACK values are polished in two steps: clusters closer than
-    CLUSTER_RTOL * max(1, ||A||_F) whose spread fits a split multiple
-    eigenvalue collapse to their mean (recovering defective multiple
-    eigenvalues to machine precision), and conjugate pairs are averaged to
-    exact conjugates.  The residual reported for each value is
+
+def eigenvalues_many(mats, *, with_residuals: bool = True) -> list[Spectrum | NoConvergence]:
+    """Spectra of a (k, n, n) stack of real matrices, by one stacked call
+    of LAPACK's QR solver; a matrix whose solve fails holds its
+    ``NoConvergence`` in place of a spectrum.
+
+    The LAPACK values of each matrix are polished in two steps: clusters
+    closer than CLUSTER_RTOL * max(1, ||A||_F) whose spread fits a split
+    multiple eigenvalue collapse to their mean (recovering defective
+    multiple eigenvalues to machine precision), and conjugate pairs are
+    averaged to exact conjugates.  The residual reported for each value is
     sigma_min(A - lambda*I), the smallest perturbation of A that makes the
     value exact; the contract caps it at 1e-10 * max(1, ||A||_F).
 
     ``with_residuals=False`` skips the residual computation for bulk
     sweeps; values are identical.
     """
-    a = _as_float_matrix(mat)
-    scale = max(1.0, float(np.linalg.norm(a)))
+    return _spectra(_as_float_stack(mats), with_residuals)
+
+
+def _spectra(a: np.ndarray, with_residuals: bool) -> list[Spectrum | NoConvergence]:
+    scales = np.maximum(1.0, np.sqrt(np.einsum("kij,kij->k", a, a)))
+    close = [True] * len(a)   # some two values may lie within the cluster tolerance
     try:
-        raw = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"QR iteration failed: {exc}") from exc
-    polished = _coalesce_clusters([complex(z) for z in raw], scale)
+        raw = np.linalg.eigvals(a).astype(complex)
+    except np.linalg.LinAlgError:
+        rows = [None] * len(a)   # solve one at a time to find the failure
+    else:
+        rows = raw.tolist()
+        if len(a) > 1:
+            # The pair test _coalesce_clusters makes, for all rows at once;
+            # each value is within the tolerance of itself.
+            near = np.abs(raw[:, :, None] - raw[:, None, :]) <= CLUSTER_RTOL * scales[:, None, None]
+            close = (near.sum(axis=(1, 2)) > raw.shape[1]).tolist()
+    out: list[Spectrum | NoConvergence] = []
+    for mat, scale, values, near in zip(a, scales.tolist(), rows, close):
+        try:
+            out.append(_polished_spectrum(mat, scale, values, near, with_residuals))
+        except NoConvergence as exc:
+            out.append(exc)
+    return out
+
+
+def _polished_spectrum(a: np.ndarray, scale: float, raw: list[complex] | None,
+                       close: bool, with_residuals: bool) -> Spectrum:
+    if raw is None:
+        try:
+            raw = [complex(z) for z in np.linalg.eigvals(a)]
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"QR iteration failed: {exc}") from exc
+    polished = _coalesce_clusters(raw, scale, close)
     polished = _conjugate_symmetrize(polished, CLUSTER_RTOL * scale)
     values = _canonical(polished)
     residuals: tuple[float, ...] = ()
@@ -450,86 +544,161 @@ def _rounding_scale(coeffs: Sequence[float], mag: float) -> float:
     return size
 
 
-def _aberth_roots(coeffs: Sequence[float], max_iter: int) -> list[complex]:
-    """All roots of a monic square-free polynomial (ascending coeffs).
+def _horner_many(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p(z), p'(z)) for each row of polynomials (ascending coefficients,
+    zero-padded above the degree, which leaves the values unchanged) at
+    each of that row's points."""
+    p = np.empty(z.shape, dtype=complex)
+    p[:] = coeffs[:, -1:]
+    dp = np.zeros(z.shape, dtype=complex)
+    for c in coeffs.T[-2::-1, :, None]:
+        dp *= z
+        dp += p
+        p *= z
+        p += c
+    return p, dp
 
-    Stops once no root moves by 1e-14 relative, or once every |p(z_i)| is
-    within Horner's rounding bound 2 deg eps sum |a_k| |z_i|^k: a root next
-    to another can then alternate between two doubles forever.
+
+def _aberth_many(factors: list[list[float]],
+                 caps: list[int]) -> list[list[complex] | NoConvergence]:
+    """All roots of each monic square-free polynomial of degree >= 2
+    (ascending coeffs), by one Aberth-Ehrlich iteration over all of them.
+
+    The polynomials are padded to one (k, D) array of root slots with a
+    live-slot mask.  A row leaves the iteration once no root moves by 1e-14
+    relative, or once every |p(z_i)| is within Horner's rounding bound
+    2 deg eps sum |a_k| |z_i|^k: a root next to another can then alternate
+    between two doubles forever.  A row that reaches its iteration cap
+    holds a ``NoConvergence``.  Every root then takes two Newton steps.
     """
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return [complex(-coeffs[0])]
-    noise = 2 * deg * sys.float_info.epsilon
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
-    roots = [radius * cmath.exp(2j * cmath.pi * (k + 0.25) / deg + 0.35j)
-             for k in range(deg)]
-    for _ in range(max_iter):
-        shift = 0.0
-        at_noise = True
-        new_roots = list(roots)
-        for i, z in enumerate(roots):
-            p, dp = _horner_pair(coeffs, z)
-            at_noise = at_noise and abs(p) <= noise * _rounding_scale(coeffs, abs(z))
-            if p == 0:
-                continue
-            if dp == 0:
-                new_roots[i] = z * (1 + 1e-6) + 1e-6
-                shift = float("inf")
-                continue
-            w = p / dp
-            s = sum(1 / (z - roots[j]) for j in range(deg) if j != i)
-            denom = 1 - w * s
-            step = w / denom if denom != 0 else w
-            new_roots[i] = z - step
-            shift = max(shift, abs(step) / (1 + abs(z)))
-        roots = new_roots
-        if shift <= 1e-14 or at_noise:
-            break
-    else:
-        raise NoConvergence(f"Aberth iteration cap {max_iter} reached")
-    for i, z in enumerate(roots):  # final Newton polish
-        for _ in range(2):
-            p, dp = _horner_pair(coeffs, z)
-            if dp == 0 or p == 0:
-                break
-            z = z - p / dp
-        roots[i] = z
-    return roots
+    k = len(factors)
+    degree = np.array([len(c) - 1 for c in factors])
+    top = int(degree.max())
+    coeffs = np.zeros((k, top + 1))
+    for row, c in zip(coeffs, factors):
+        row[:len(c)] = c
+    slots = np.arange(top) < degree[:, None]
+    # Distinct live slots are pairs; the others get an infinite distance,
+    # so that they add nothing to the sums of 1 / (z_i - z_j).
+    apart = np.where(slots[:, :, None] & slots[:, None, :] & ~np.eye(top, dtype=bool),
+                     0, np.inf).astype(complex)
+    noise = np.where(slots, 2 * degree[:, None] * sys.float_info.epsilon, np.inf)
+    radius = 1.0 + np.where(np.arange(top + 1) < degree[:, None], np.abs(coeffs), 0).max(axis=1)
+    angle = 2 * np.pi * (np.arange(top) + 0.25) / degree[:, None] + 0.35
+    roots = np.where(slots, radius[:, None] * np.exp(1j * angle), 0)
+    cap = np.array(caps)
+    failed = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    iterations = 0
+    with np.errstate(all="ignore"):
+        while live.size:
+            # The live rows, and below them the rounding scale's
+            # polynomials sum |a_k| x^k, evaluated at |z| in the same pass.
+            z, m = roots[live], len(live)
+            both = np.concatenate((coeffs[live], np.abs(coeffs[live])))
+            row_apart, row_noise, row_slots = apart[live], noise[live], slots[live]
+            limit = cap[live].min()
+            while True:
+                p, dp = _horner_many(both, np.concatenate((z, np.abs(z))))
+                p, dp, size = p[:m], dp[:m], p[m:].real
+                at_noise = (np.abs(p) <= row_noise * size).all(axis=1)
+                s = (1 / (z[:, :, None] - z[:, None, :] + row_apart)).sum(axis=2)
+                w = p / dp
+                step = np.where(row_slots, w / (1 - w * s), 0)
+                shift = (np.abs(step) / (1 + np.abs(z))).max(axis=1)
+                if not np.isfinite(shift).all():
+                    odd = ~np.isfinite(step)
+                    # Aberth's denominator 1 - w s vanished: a Newton step.
+                    step[odd] = np.where(np.isfinite(w[odd]), w[odd], np.nan)
+                    # p'(z) = 0 away from a root: nudge the root off it.
+                    stuck = ~np.isfinite(step) & (p != 0)
+                    step[~np.isfinite(step)] = 0
+                    step[stuck] = -(z[stuck] * 1e-6 + 1e-6)
+                    shift = (np.abs(step) / (1 + np.abs(z))).max(axis=1)
+                    shift[stuck.any(axis=1)] = np.inf
+                z = z - step
+                iterations += 1
+                done = (shift <= 1e-14) | at_noise
+                if done.any() or iterations >= limit:
+                    break
+            roots[live] = z
+            over = ~done & (iterations >= cap[live])
+            failed[live[over]] = True
+            live = live[~done & ~over]
+        for _ in range(2):   # final Newton polish
+            p, dp = _horner_many(coeffs, roots)
+            polishing = slots & (dp != 0) & (p != 0)
+            roots = np.where(polishing, roots - p / dp, roots)
+    return [NoConvergence(f"Aberth iteration cap {cap[i]} reached") if failed[i]
+            else roots[i, :degree[i]].tolist() for i in range(k)]
 
 
 def poly_roots(p: CharPoly | Sequence[int]) -> Spectrum:
     """All complex roots of a monic integer polynomial, with exact
-    multiplicities.
+    multiplicities; see ``poly_roots_many``."""
+    return _raise_or_return(poly_roots_many([p])[0])
+
+
+def poly_roots_many(polys: Sequence[CharPoly | Sequence[int]]) -> list[Spectrum | LoopspecError]:
+    """The roots of each monic integer polynomial, with exact
+    multiplicities; a polynomial that fails holds its error in place of a
+    spectrum.
 
     Roots at zero deflate exactly off the low-order coefficients; the rest
     is split into square-free factors in exact integer arithmetic, so
-    Aberth iteration only ever sees simple roots.  The stored residuals are
-    relative polynomial residuals |p(z)| / sum |a_k z^k|.
+    Aberth iteration only ever sees simple roots.  One iteration runs over
+    the factors of all the polynomials, each capped at 100 times the
+    degree of its deflated polynomial.  The stored residuals are relative
+    polynomial residuals |p(z)| / sum |a_k z^k|.
     """
-    full = list(p.full()) if isinstance(p, CharPoly) else list(p)
-    if len(full) < 2:
-        raise LoopspecError("polynomial must have degree >= 1")
-    if full[-1] != 1:
-        raise LoopspecError("polynomial must be monic")
-    zero_mult = 0
-    while full[0] == 0 and len(full) > 1:
-        full.pop(0)
-        zero_mult += 1
-    roots: list[complex] = [0j] * zero_mult
-    if len(full) > 1:
-        cap = 100 * (len(full) - 1)
-        for factor, mult in square_free_decomposition(full):
-            found = _aberth_roots([float(c) for c in factor], cap)
-            found = _conjugate_symmetrize(found, 1e-6 * (1 + max(abs(z) for z in found)))
-            roots.extend(z for z in found for _ in range(mult))
+    out: list = [None] * len(polys)
+    split: dict[int, tuple[int, list[tuple[list[int], int]]]] = {}   # zero roots, factors
+    factors: list[list[float]] = []   # those of degree >= 2, for one Aberth run
+    caps: list[int] = []
+    for i, p in enumerate(polys):
+        full = list(p.full()) if isinstance(p, CharPoly) else list(p)
+        try:
+            if len(full) < 2:
+                raise LoopspecError("polynomial must have degree >= 1")
+            if full[-1] != 1:
+                raise LoopspecError("polynomial must be monic")
+            zero_mult = 0
+            while full[0] == 0 and len(full) > 1:
+                full.pop(0)
+                zero_mult += 1
+            split[i] = (zero_mult, square_free_decomposition(full) if len(full) > 1 else [])
+        except LoopspecError as exc:
+            out[i] = exc
+            continue
+        for factor, _ in split[i][1]:
+            if len(factor) > 2:
+                factors.append([float(c) for c in factor])
+                caps.append(100 * (len(full) - 1))
+    found = iter(_aberth_many(factors, caps) if factors else ())
+    for i, (zero_mult, pieces) in split.items():
+        roots: list[complex] = [0j] * zero_mult
+        for factor, mult in pieces:
+            values = next(found) if len(factor) > 2 else [complex(-float(factor[0]))]
+            if isinstance(values, NoConvergence):
+                out[i] = out[i] or values
+                continue
+            values = _conjugate_symmetrize(values, 1e-6 * (1 + max(abs(z) for z in values)))
+            roots.extend(z for z in values for _ in range(mult))
+        if out[i] is None:
+            out[i] = _checked_roots(polys[i], roots)
+    return out
+
+
+def _checked_roots(p: CharPoly | Sequence[int], roots: list[complex]) -> Spectrum | NoConvergence:
+    """The roots in canonical order with their relative residuals, or a
+    ``NoConvergence`` if one exceeds ROOT_RESIDUAL_TOL."""
     values = _canonical(roots)
     target = [float(c) for c in (p.full() if isinstance(p, CharPoly) else p)]
     residuals = tuple(
         abs(_horner_pair(target, z)[0]) / max(1.0, _rounding_scale(target, abs(z)))
         for z in values)
     if residuals and max(residuals) > ROOT_RESIDUAL_TOL:
-        raise NoConvergence(
+        return NoConvergence(
             f"root residual {max(residuals):.3e} exceeds {ROOT_RESIDUAL_TOL:.0e}")
     return Spectrum(values, residuals)
 

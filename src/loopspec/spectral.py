@@ -56,12 +56,15 @@ class GraphFacts:
 
     Everything is derived from the immutable graph, so instances are safe
     to share.  ``with_residuals=False`` skips eigenvalue backward-error
-    estimates, which bulk sweeps do not need.
+    estimates, which bulk sweeps do not need.  ``known`` presets cached
+    fields (``spectrum``, ``charpoly``, ``verified_spectrum``) computed
+    elsewhere, as a sweep computes them for a chunk of graphs at once.
     """
 
-    def __init__(self, d: Digraph, *, with_residuals: bool = False):
+    def __init__(self, d: Digraph, *, with_residuals: bool = False, **known):
         self.d = d
         self.with_residuals = with_residuals
+        self.__dict__.update(known)
 
     @property
     def n(self) -> int:

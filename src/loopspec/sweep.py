@@ -16,6 +16,15 @@ Both modes run the same loop.  An input source yields chunks of (bit
 pattern, weight) pairs; one chunk runner checks each chunk, serially or
 in a worker process, and ``sweep`` merges the chunks in order.
 
+Before any check runs, a batch stage computes the chunk's spectra on one
+stack of adjacency matrices, and its exact charpolys and their roots when
+a selected check reads them on every graph; each graph's ``GraphFacts``
+starts with these fields filled.  Everything else a check reads
+(complement, components, the exact roots that a near-equality
+certificate asks for) stays lazy.  A graph whose batch row fails gets the
+field unfilled, so its own lazy call raises at the same point of the
+check order as it would alone, and only if the sweep reaches it.
+
 A failed check is a counterexample to a published statement; the sweep
 stops, serializes the witness graph, and the report carries it.  A sweep
 that stops counts the weighted graphs checked up to and including the
@@ -39,11 +48,12 @@ import numpy as np
 
 from . import bounds, decomposition, spectral
 from .decomposition import ImplicationStatus
-from .errors import CounterexampleError, SizeLimit
+from .errors import CounterexampleError, LoopspecError, SizeLimit
 from .formats import to_json_dict
 from .graphs import Digraph, complement, degrees
-from .linalg import (MAX_ENUMERATION_ORDER, charpoly_product,
-                     linear_subdigraph_charpoly, matching_distance)
+from .linalg import (MAX_ENUMERATION_ORDER, char_poly_exact_many, charpoly_product,
+                     eigenvalues_many, linear_subdigraph_charpoly,
+                     matching_distance, poly_roots_many)
 from .spectral import GraphFacts
 from .tolerances import SPECTRUM_MATCH_TOL, TRACE_TOL
 
@@ -429,13 +439,14 @@ def census_findings(report: SweepReport) -> list[dict]:
 
 
 def _check_graph(report: SweepReport, mask: int, theorems: list[str],
-                 weight: int) -> bool:
+                 weight: int, known: dict) -> bool:
     """Run the selected checks on the graph with bit pattern ``mask``, which
-    stands for ``weight`` labeled graphs; returns False when a
-    counterexample stops the sweep.  Each equality certificate adds a
-    census entry; the merge keeps the first one per signature."""
+    stands for ``weight`` labeled graphs, with the ``GraphFacts`` fields
+    ``known`` already computed; returns False when a counterexample stops
+    the sweep.  Each equality certificate adds a census entry; the merge
+    keeps the first one per signature."""
     d = digraph_from_bits(report.n, mask)
-    facts = GraphFacts(d, with_residuals=False)
+    facts = GraphFacts(d, with_residuals=False, **known)
     report.graphs_checked += weight
     signature = None
     for name in theorems:
@@ -467,13 +478,53 @@ def _check_graph(report: SweepReport, mask: int, theorems: list[str],
     return True
 
 
+def _adjacency_stack(n: int, masks: Sequence[int]) -> np.ndarray:
+    """The 0/1 adjacency matrices of the bit patterns as a (k, n, n) stack,
+    unpacked from each pattern's little-endian bytes, so that patterns of
+    64 bits and more (n >= 8) need no int64."""
+    width = (n * n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
+                           dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n * n,
+                         bitorder="little").reshape(len(masks), n, n)
+
+
+# Checks that read the exact charpoly, and its roots, of every graph.
+_READ_CHARPOLY = frozenset({"charpoly_invariance", "oracle_roots"})
+_READ_ROOTS = frozenset({"oracle_roots"})
+_STACK = 256   # graphs per stack of the batch stage; bounds the memory it holds
+
+
+def _batch_facts(n: int, masks: Sequence[int], theorems: list[str]) -> Iterator[dict]:
+    """The ``GraphFacts`` fields of each graph in a chunk, computed on
+    stacks of up to _STACK graphs as the chunk's checks reach them: every
+    spectrum, and the exact charpolys, and their roots, when a selected
+    check reads them on every graph.  A graph whose computation fails gets
+    no field, so that its own lazy call raises the error at the point of
+    the check order where it always did."""
+    for lo in range(0, len(masks), _STACK):
+        adj = _adjacency_stack(n, masks[lo:lo + _STACK])
+        fields = {"spectrum": eigenvalues_many(adj, with_residuals=False)}
+        if _READ_CHARPOLY.intersection(theorems):
+            try:
+                fields["charpoly"] = char_poly_exact_many(adj)
+            except LoopspecError:
+                pass   # beyond the exact size cap: each graph raises on its own
+            else:
+                if _READ_ROOTS.intersection(theorems):
+                    fields["verified_spectrum"] = poly_roots_many(fields["charpoly"])
+        for i in range(len(adj)):
+            yield {name: values[i] for name, values in fields.items()
+                   if not isinstance(values[i], LoopspecError)}
+
+
 def _run_chunk(args: tuple) -> SweepReport:
     """Check a chunk of graphs, given by bit pattern and weight, until the
     first counterexample."""
     n, masks, weights, theorems = args
     report = _new_report(n, "", theorems, {})
-    for mask, weight in zip(masks, weights):
-        if not _check_graph(report, mask, theorems, weight):
+    for mask, weight, known in zip(masks, weights, _batch_facts(n, masks, theorems)):
+        if not _check_graph(report, mask, theorems, weight, known):
             break
     return report
 
@@ -552,6 +603,10 @@ def sweep(n: int,
     the serial report.  The sweep stops at the first counterexample and
     serializes the witness in the report.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     selected = resolve_theorems(theorems)

@@ -212,6 +212,15 @@ class TestSweepCommand:
             assert out == ""
             assert "--jobs" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "2", "--samples", "-1"], "samples must be at least 1, not -1"),
+        (["--n", "2", "--samples", "0"], "samples must be at least 1, not 0"),
+        (["--n", "-1"], "n must be at least 1, not -1"),
+        (["--n", "0", "--samples", "3"], "n must be at least 1, not 0"),
+    ], ids=["samples-negative", "samples-zero", "n-negative", "n-zero"])
+    def test_bad_sizes(self, capsys, args, message):
+        assert run(capsys, "sweep", *args) == (1, "", message + "\n")
+
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         from loopspec.sweep import CheckOutcome, THEOREM_CHECKS
         monkeypatch.setitem(THEOREM_CHECKS, "synthetic_fail",

@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from loopspec import new_digraph
 from loopspec.cli import main
 from loopspec.formats import dumps_json
 from loopspec.sweep import random_digraph, sweep
@@ -79,6 +80,12 @@ SAMPLED = [
     # Unequal arc and loop probabilities pin which draw decides a loop.
     ((5, "all"), {"samples": 40, "seed": 11, "arc_prob": 0.3, "loop_prob": 0.8},
      "d2bd37845b7e7dba56efaf8bcae52b7dac308b0311dbacb48de8de3f64047d47"),
+    # From n = 8 on, a bit pattern has 64 or more bits and no longer fits
+    # an int64.  At n = 12 the cycle-cover oracle is out of range.
+    ((8, "all"), {"samples": 24, "seed": 5},
+     "84e7d891dd4537f5669441baac34eeaaad6015b62516b81b83a31e6976304213"),
+    ((12, "all"), {"samples": 6, "seed": 5},
+     "4af7f39cfe079d0222b8f183662b9393a6d951c7bf122f37e60da85ac2ca2fc5"),
 ]
 
 
@@ -93,6 +100,13 @@ def random7():
     return random_digraph(7, 0.5, 0.5, 45672)
 
 
+@pytest.fixture
+def mcclelland_witness():
+    """Directed triangle plus a looped isolated vertex: its McClelland
+    equality certificate takes the exact-root route."""
+    return new_digraph(4, [(0, 1), (1, 2), (2, 0)], [3])
+
+
 CLI = {
     ("fig_union", "energy"): "8ad1b6287c3252ab50cb2d76ea3f234c731c7efc130b48cebf58894e34f6e500",
     ("fig_union", "bounds"): "52f7e862686545b0a193f0ec5e14be5fe761f11c3c7f96ce7a3cb7eeb52b364e",
@@ -102,6 +116,8 @@ CLI = {
     ("random7", "bounds"): "114e4ca77f4c75779c5880edcbeb5602d5e3f18dd45641086995430e12a1690b",
     ("random7", "decompose"): "46554663d16462616fcd1b8792a4b0dd3441a4e22755cfa73553fe684b9366af",
     ("random7", "spectrum"): "823ef84b9c3d3fb097b6fa8db99aff38cc0e199564a1ad6835eb559186637e3c",
+    ("mcclelland_witness", "bounds"):
+        "4fd200f0dea064291edc11da98aa55e8d4c460a09ea58b6769b0a5384250bf9e",
 }
 
 

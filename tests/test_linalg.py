@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,12 @@ from loopspec import (CharPoly, LoopspecError, SizeLimit, adjacency,
                       count_two_cycles, digraph_charpoly, digraph_spectrum,
                       eigenvalues, linear_subdigraph_charpoly,
                       matching_distance, new_digraph, poly_roots)
-from loopspec.linalg import _divide_monic, square_free_decomposition
+from loopspec import linalg
+from loopspec.errors import NoConvergence
+from loopspec.linalg import (_aberth_many, _divide_monic, _horner_pair,
+                             _rounding_scale, char_poly_exact_many,
+                             eigenvalues_many, poly_roots_many,
+                             square_free_decomposition)
 from loopspec.spectral import trace_identities
 from loopspec.sweep import (digraph_from_bits, iterate_all, orbit_classes,
                             random_digraph)
@@ -337,3 +344,149 @@ class TestMatchingDistance:
         xs = [0.0, 1.0]
         ys = [1.0, 0.0]
         assert matching_distance(xs, ys) == 0
+
+
+# ---------------------------------------------------------------------------
+# Batch kernels against one-matrix references
+
+ABERTH_RTOL = 1e-13   # batched roots against the scalar iteration, relative
+
+
+def object_charpoly(mat) -> CharPoly:
+    """Faddeev-LeVerrier on a numpy object array of Python ints throughout."""
+    a = np.array([[int(x) for x in row] for row in np.asarray(mat).tolist()], dtype=object)
+    n = len(a)
+    coeffs = [0] * n
+    am = a.copy()
+    for k in range(1, n + 1):
+        c = -(am.trace() // k)
+        coeffs[n - k] = c
+        if k < n:
+            am.flat[::n + 1] += c
+            am = a.dot(am)
+    return CharPoly(tuple(coeffs))
+
+
+def scalar_aberth(coeffs, max_iter):
+    """Aberth-Ehrlich on one square-free polynomial, one root at a time:
+    the iteration the batched one replaced, with the same stopping rules."""
+    deg = len(coeffs) - 1
+    if deg == 1:
+        return [complex(-coeffs[0])]
+    noise = 2 * deg * sys.float_info.epsilon
+    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    roots = [radius * cmath.exp(2j * cmath.pi * (k + 0.25) / deg + 0.35j)
+             for k in range(deg)]
+    for _ in range(max_iter):
+        shift = 0.0
+        at_noise = True
+        new_roots = list(roots)
+        for i, z in enumerate(roots):
+            p, dp = _horner_pair(coeffs, z)
+            at_noise = at_noise and abs(p) <= noise * _rounding_scale(coeffs, abs(z))
+            if p == 0:
+                continue
+            if dp == 0:
+                new_roots[i] = z * (1 + 1e-6) + 1e-6
+                shift = float("inf")
+                continue
+            w = p / dp
+            s = sum(1 / (z - roots[j]) for j in range(deg) if j != i)
+            denom = 1 - w * s
+            step = w / denom if denom != 0 else w
+            new_roots[i] = z - step
+            shift = max(shift, abs(step) / (1 + abs(z)))
+        roots = new_roots
+        if shift <= 1e-14 or at_noise:
+            break
+    else:
+        raise NoConvergence(f"Aberth iteration cap {max_iter} reached")
+    for i, z in enumerate(roots):
+        for _ in range(2):
+            p, dp = _horner_pair(coeffs, z)
+            if dp == 0 or p == 0:
+                break
+            z = z - p / dp
+        roots[i] = z
+    return roots
+
+
+def _stack(graphs) -> np.ndarray:
+    return np.array([adjacency(d) for d in graphs])
+
+
+def _n4_classes():
+    return [digraph_from_bits(4, mask) for mask in orbit_classes(4)[0]]
+
+
+def _seeded_n7(count=1000):
+    return [random_digraph(7, 0.5, 0.5, seed) for seed in range(count)]
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("graphs", [lambda: list(iterate_all(3)), _n4_classes, _seeded_n7],
+                             ids=["all-n3", "n4-classes", "seeded-n7"])
+    def test_int64_charpolys_match_the_object_path(self, graphs):
+        stack = _stack(graphs())
+        assert char_poly_exact_many(stack) == [object_charpoly(a) for a in stack]
+
+    @pytest.mark.parametrize("stack", [
+        np.random.default_rng(0).integers(0, 4, (2, 30, 30)),
+        np.array([[[2 ** 31 - 1, 2 ** 31 - 5, 3], [7, 2 ** 31 - 2, 1], [2 ** 30, 0, 2 ** 31 - 9]],
+                  [[0, 1, 0], [0, 0, 1], [1, 0, 0]]], dtype=np.int64),
+    ], ids=["dense-n30", "near-2^31"])
+    def test_guard_falls_back_to_python_ints(self, stack, monkeypatch):
+        verdicts = []
+        guard = linalg._fits_int64
+        monkeypatch.setattr(linalg, "_fits_int64",
+                            lambda bound, n: verdicts.append(guard(bound, n)) or verdicts[-1])
+        assert char_poly_exact_many(stack) == [object_charpoly(a) for a in stack]
+        assert False in verdicts
+
+    def test_fallback_at_the_start(self):
+        big = np.array([[[2 ** 62, 1], [1, 0]]], dtype=object)
+        assert char_poly_exact_many(big) == [CharPoly((-1, -2 ** 62))]
+
+    def test_stacked_qr_spectra_equal_one_matrix_calls_bitwise(self):
+        stack = _stack(_seeded_n7(300))
+        batch = eigenvalues_many(stack, with_residuals=False)
+        assert [repr(s.values) for s in batch] == [
+            repr(eigenvalues(a, with_residuals=False).values) for a in stack]
+        with_residuals = eigenvalues_many(stack[:20])
+        assert [repr(s) for s in with_residuals] == [repr(eigenvalues(a)) for a in stack[:20]]
+
+    def test_batched_aberth_matches_the_scalar_iteration(self):
+        factors, caps = [], []
+        for d in _n4_classes() + _seeded_n7():
+            full = list(digraph_charpoly(d).full())
+            while full[0] == 0 and len(full) > 1:
+                full.pop(0)
+            for factor, _ in (square_free_decomposition(full) if len(full) > 1 else []):
+                factors.append([float(c) for c in factor])
+                caps.append(100 * (len(full) - 1))
+        assert max(len(f) for f in factors) == 8
+        for factor, cap, roots in zip(factors, caps, _aberth_many(factors, caps)):
+            reference = scalar_aberth(factor, cap)
+            scale = max(1.0, max(abs(z) for z in reference))
+            assert matching_distance(roots, reference) <= ABERTH_RTOL * scale
+
+    def test_close_pair_converges_in_a_batch(self):
+        # The coefficients of test_close_real_roots_converge, next to a
+        # quadratic that converges sooner.
+        close = (3, -6, -2, 7, -3, 6, -5, 1)
+        out = poly_roots_many([close, (-1, -1, 1)])
+        assert matching_distance(out[0], poly_roots(close)) <= ABERTH_RTOL * 2
+        assert max(out[0].residuals) <= 1e-15
+
+    def test_a_failing_polynomial_leaves_the_others(self):
+        polys = [(-1, -1, 1), (1, 2), (1, -4, 6, -4, 1), (1,)]
+        out = poly_roots_many(polys)
+        assert isinstance(out[1], LoopspecError) and isinstance(out[3], LoopspecError)
+        for i in (0, 2):
+            assert matching_distance(out[i], poly_roots(polys[i])) <= ABERTH_RTOL * 2
+
+    def test_iteration_cap_is_a_row_error(self):
+        sextic = [2.0, 0.0, -3.0, -5.0, 11.0, -6.0, 1.0]
+        out = _aberth_many([[-1.0, -1.0, 1.0], sextic], [1, 600])
+        assert isinstance(out[0], NoConvergence) and "cap 1 " in str(out[0])
+        assert matching_distance(out[1], scalar_aberth(sextic, 600)) <= ABERTH_RTOL * 5

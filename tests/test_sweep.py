@@ -8,6 +8,7 @@ import pytest
 import loopspec.sweep as sweep_module
 from loopspec import (SizeLimit, complete, decomposition, linalg, new_digraph,
                       spectral)
+from loopspec.errors import NoConvergence
 from loopspec.bounds import (FAMILY_UNRECOGNIZED, STRUCTURE_UNRECOGNIZED,
                              mcclelland_equality_family,
                              rho_lower_equality_structure)
@@ -264,19 +265,26 @@ class TestSharedWork:
         # A strongly connected graph whose arcs all lie on cycles is its
         # own component and its own pruned form, so all checks together
         # need one exact charpoly, one analysis, and the spectra of the
-        # graph and of its complement, built once.
-        calls = collections.Counter()
+        # graph and of its complement, built once.  Every matrix goes
+        # through a batch kernel: the chunk's stacks, and the stack of one
+        # of each lazy call.  The exact roots, too, are found once.
+        matrices = collections.Counter()
 
-        def counted(name, fn):
+        def counted(name, fn, per_call=None):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                matrices[name] += per_call or len(args[0])
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module, name in ((spectral, "char_poly_exact"), (linalg, "char_poly_exact"),
-                             (linalg, "eigenvalues"), (decomposition, "analyze"),
-                             (spectral, "complement"), (sweep_module, "complement")):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for module, attr, name, per_call in (
+                (linalg, "_char_polys", "charpolys", None),
+                (linalg, "_spectra", "spectra", None),
+                (linalg, "poly_roots_many", "roots", None),
+                (sweep_module, "poly_roots_many", "roots", None),
+                (decomposition, "analyze", "analyze", 1),
+                (spectral, "complement", "complement", 1),
+                (sweep_module, "complement", "complement", 1)):
+            monkeypatch.setattr(module, attr, counted(name, getattr(module, attr), per_call))
         arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (3, 1)]
         loops = [0, 3]
         mask = sum(1 << (5 * i + j) for i, j in arcs + [(v, v) for v in loops])
@@ -284,8 +292,97 @@ class TestSharedWork:
         report = _run_chunk((5, [mask], [1], resolve_theorems("all")))
         assert report.counterexamples == []
         assert report.checks["sufficient_condition"].na == 1   # one component
-        assert calls == {"char_poly_exact": 1, "eigenvalues": 2, "analyze": 1,
-                         "complement": 2}
+        assert matrices == {"charpolys": 1, "spectra": 2, "roots": 1, "analyze": 1,
+                            "complement": 2}
+
+    def test_batch_fills_spectra_and_exact_roots_only_when_read(self, monkeypatch):
+        # Two graphs in one chunk: their spectra come from one stacked
+        # call, and the exact charpolys and roots only with oracle_roots.
+        stacks = []
+        real = sweep_module.eigenvalues_many
+        monkeypatch.setattr(sweep_module, "eigenvalues_many",
+                            lambda mats, **kw: stacks.append(len(mats)) or real(mats, **kw))
+        masks = [0b1011, 0b0110]
+        census = list(sweep_module._batch_facts(2, masks, ["mcclelland", "rho_lower"]))
+        assert [sorted(known) for known in census] == [["spectrum"], ["spectrum"]]
+        invariance = list(sweep_module._batch_facts(2, masks, ["charpoly_invariance"]))
+        assert [sorted(known) for known in invariance] == [["charpoly", "spectrum"]] * 2
+        everything = list(sweep_module._batch_facts(2, masks, resolve_theorems("all")))
+        assert all(sorted(known) == ["charpoly", "spectrum", "verified_spectrum"]
+                   for known in everything)
+        assert stacks == [2, 2, 2]
+        for mask, known in zip(masks, everything):
+            facts = GraphFacts(digraph_from_bits(2, mask))
+            assert known == {"spectrum": facts.spectrum, "charpoly": facts.charpoly,
+                             "verified_spectrum": facts.verified_spectrum}
+
+    def test_adjacency_stack_past_64_bits(self):
+        # At n = 9 a bit pattern has 81 bits.
+        masks = [0, (1 << 81) - 1, sum(1 << (9 * i + (i + 1) % 9) for i in range(9)) | 1 << 80]
+        stack = sweep_module._adjacency_stack(9, masks)
+        assert stack.shape == (3, 9, 9)
+        for mask, matrix in zip(masks, stack):
+            assert matrix.tolist() == linalg.adjacency(digraph_from_bits(9, mask)).tolist()
+
+
+class TestFailureIsolation:
+    """One graph's exact roots fail their residual check, in a chunk whose
+    roots are computed together: the failure waits for that graph's own
+    oracle_roots check, as it did when every graph computed its own."""
+
+    N, SEED, SAMPLES = 5, 40, 12
+    BAD = 6   # in the second part of 4 samples, after sample 5
+
+    def sample(self, i):
+        return random_digraph(self.N, 0.5, 0.5, self.SEED + i)
+
+    @pytest.fixture(autouse=True)
+    def parts_of_four(self, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_PART_CLASSES", 4)
+
+    def fail_bad_roots(self, monkeypatch):
+        bad = GraphFacts(self.sample(self.BAD)).charpoly
+        assert [GraphFacts(self.sample(i)).charpoly
+                for i in range(self.SAMPLES)].count(bad) == 1
+        real = linalg._checked_roots
+
+        def checked(p, roots):
+            return NoConvergence("synthetic residual failure") if p == bad else real(p, roots)
+
+        monkeypatch.setattr(linalg, "_checked_roots", checked)
+
+    def run(self, theorems, jobs):
+        report = sweep(self.N, theorems, samples=self.SAMPLES, seed=self.SEED, jobs=jobs)
+        payload = report.to_json_dict()
+        del payload["wall_time"]
+        return payload
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_earlier_counterexample_keeps_the_report(self, monkeypatch, jobs):
+        target = self.sample(self.BAD - 1)
+        monkeypatch.setitem(THEOREM_CHECKS, "synthetic_fail", lambda facts: CheckOutcome(
+            "fail" if facts.d == target else "pass", "synthetic"))
+        theorems = ["synthetic_fail", "oracle_roots"]
+        expected = self.run(theorems, jobs)
+        assert expected["graphs_checked"] == self.BAD
+        assert expected["counterexamples"][0]["graph"] == to_json_dict(target)
+        self.fail_bad_roots(monkeypatch)
+        assert self.run(theorems, jobs) == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_error_surfaces_at_its_graph(self, monkeypatch, jobs):
+        seen = []
+
+        def recorder(facts):
+            seen.append(facts.d)
+            return CheckOutcome("pass")
+
+        monkeypatch.setitem(THEOREM_CHECKS, "recorder", recorder)
+        self.fail_bad_roots(monkeypatch)
+        with pytest.raises(NoConvergence, match="synthetic residual failure"):
+            self.run(["recorder", "oracle_roots"], jobs)
+        if jobs == 1:   # a worker's record stays in its own process
+            assert seen == [self.sample(i) for i in range(self.BAD + 1)]
 
 
 class TestCensusFindings:
