@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import OrderTooSmall
-from .graphs import regularity
+from .graphs import delta_sigma, regularity
 from .spectral import FactsLike, as_facts
 from .tolerances import equality_tol
 
@@ -37,12 +37,6 @@ COMPLEMENT_ENERGY_SUM = "complement_energy_sum"
 POWER_SUM_MODULUS = "power_sum_modulus"
 POWER_SUM_REAL = "power_sum_real"
 POWER_SUM_IMAG = "power_sum_imag"
-
-ALL_BOUND_IDS = (
-    MCCLELLAND, RHO_LOWER, ENERGY_LOWER_C2, RHO_UPPER, COMPONENT_GAP,
-    COMPLEMENT_RHO_LOWER, COMPLEMENT_RHO_UPPER, COMPLEMENT_ENERGY_SUM,
-    POWER_SUM_MODULUS, POWER_SUM_REAL, POWER_SUM_IMAG,
-)
 
 # Witnesses of an equality that no published characterization covers.
 FAMILY_UNRECOGNIZED = "equality, family unrecognized"
@@ -260,7 +254,7 @@ def complement_rho_sum(d: FactsLike) -> tuple[BoundCertificate, BoundCertificate
     """Two-sided bound on rho + rho(complement)."""
     facts = as_facts(d)
     n, sigma = facts.n, facts.sigma
-    delta = 1 if sigma == 0 else 0
+    delta = delta_sigma(facts.d)
     c2_both = facts.c2 + facts.complement_facts.c2
     low = float((1 - delta) + Fraction(c2_both, n))
     radicand = (Fraction((n - 1) ** 2)
@@ -317,40 +311,37 @@ def power_sum_bounds(d: FactsLike) -> tuple[BoundCertificate, BoundCertificate, 
     return modulus, real, imag
 
 
-def all_certificates(d: FactsLike, only: str | None = None) -> list[BoundCertificate]:
-    """Every applicable certificate for one graph, in a fixed order.
+# Every certifier, in report order, with the bound ids of what it returns.
+_CERTIFIERS: tuple[tuple[Callable, tuple[str, ...]], ...] = (
+    (mcclelland, (MCCLELLAND,)),
+    (rho_lower, (RHO_LOWER,)),
+    (energy_lower_c2, (ENERGY_LOWER_C2,)),
+    (rho_upper, (RHO_UPPER,)),
+    (component_gap, (COMPONENT_GAP,)),
+    (complement_rho_sum, (COMPLEMENT_RHO_LOWER, COMPLEMENT_RHO_UPPER)),
+    (complement_energy_sum, (COMPLEMENT_ENERGY_SUM,)),
+    (power_sum_bounds, (POWER_SUM_MODULUS, POWER_SUM_REAL, POWER_SUM_IMAG)),
+)
 
-    The rho upper bound is skipped for n = 1 where it is undefined.
+ALL_BOUND_IDS = tuple(bound_id for _, ids in _CERTIFIERS for bound_id in ids)
+
+
+def all_certificates(d: FactsLike, only: str | None = None) -> list[BoundCertificate]:
+    """Every applicable certificate for one graph, in a fixed order, or the
+    one named ``only``; a bound that is not asked for is not computed.
+
+    A bound undefined at the graph's order (the rho upper bound at n = 1)
+    is skipped.
     """
     facts = as_facts(d)
     certs: list[BoundCertificate] = []
-
-    def want(bound_id: str) -> bool:
-        return only is None or only == bound_id
-
-    if want(MCCLELLAND):
-        certs.append(mcclelland(facts))
-    if want(RHO_LOWER):
-        certs.append(rho_lower(facts))
-    if want(ENERGY_LOWER_C2):
-        certs.append(energy_lower_c2(facts))
-    if want(RHO_UPPER) and facts.n >= 2:
-        certs.append(rho_upper(facts))
-    if want(COMPONENT_GAP):
-        certs.append(component_gap(facts))
-    if want(COMPLEMENT_RHO_LOWER) or want(COMPLEMENT_RHO_UPPER):
-        lower, upper = complement_rho_sum(facts)
-        if want(COMPLEMENT_RHO_LOWER):
-            certs.append(lower)
-        if want(COMPLEMENT_RHO_UPPER):
-            certs.append(upper)
-    if want(COMPLEMENT_ENERGY_SUM):
-        certs.append(complement_energy_sum(facts))
-    if want(POWER_SUM_MODULUS) or want(POWER_SUM_REAL) or want(POWER_SUM_IMAG):
-        modulus, real, imag = power_sum_bounds(facts)
-        for bound_id, cert in ((POWER_SUM_MODULUS, modulus),
-                               (POWER_SUM_REAL, real),
-                               (POWER_SUM_IMAG, imag)):
-            if want(bound_id):
-                certs.append(cert)
+    for certify, ids in _CERTIFIERS:
+        if only is not None and only not in ids:
+            continue
+        try:
+            out = certify(facts)
+        except OrderTooSmall:
+            continue
+        certs.extend(cert for cert in (out if isinstance(out, tuple) else (out,))
+                     if only in (None, cert.bound_id))
     return certs

@@ -23,11 +23,11 @@ one stacked LAPACK call and polishes each matrix's values,
 ``poly_roots_many`` runs one Aberth iteration over the square-free factors
 of all its polynomials.  The one-matrix functions are these kernels on a
 stack of one, so both give the same values.  The int64 products are
-guarded: before each one, a bound on the entries proves that nothing can
-overflow, and from the first step the guard cannot prove it, the stack
-continues on numpy object arrays of Python ints.  A batch kernel reports
-a failed matrix or polynomial as its error in place of the result, so one
-failure leaves the rest of the stack.
+guarded once per stack: before the first one, a bound on the entries of
+the last proves that nothing can overflow, and a stack for which it
+cannot runs on numpy object arrays of Python ints throughout.  A batch
+kernel reports a failed matrix or polynomial as its error in place of the
+result, so one failure leaves the rest of the stack.
 """
 
 from __future__ import annotations
@@ -76,22 +76,20 @@ def _square_stack(a: np.ndarray, stacked: bool) -> np.ndarray:
 
 
 def _as_int_stack(mats, stacked: bool = True) -> np.ndarray:
-    """The square integer matrices ``mats`` as a numpy integer stack, or a
-    stack of Python ints for an object array."""
+    """The square integer matrices ``mats`` as a numpy integer stack, or,
+    for float or object input, a stack of the Python ints they equal."""
     a = _square_stack(np.asarray(mats), stacked)
-    if a.dtype.kind == "f":
-        if not np.all(a == np.round(a)):
-            raise LoopspecError("matrix entries must be integers")
-        return a.astype(np.int64)
-    if a.dtype == object:
+    if a.dtype.kind in "iu":
+        return a
+    if a.dtype.kind in "fO":
         cells = a.ravel().tolist()
-        ints = [int(x) for x in cells]
-        if ints != cells:
-            raise LoopspecError("matrix entries must be integers")
-        return np.array(ints, dtype=object).reshape(a.shape)
-    if a.dtype.kind not in "iu":
-        raise LoopspecError("matrix entries must be integers")
-    return a
+        try:   # bools drop out, so that they fail the comparison
+            ints = [int(x) for x in cells if not isinstance(x, (bool, np.bool_))]
+        except (ValueError, OverflowError, TypeError):   # nan, inf, non-numbers
+            ints = None
+        if ints == cells:
+            return np.array(ints, dtype=object).reshape(a.shape)
+    raise LoopspecError("matrix entries must be integers")
 
 
 def _raise_or_return(result):
@@ -130,12 +128,6 @@ class CharPoly:
         """All coefficients ascending, leading 1 included."""
         return self.coeffs + (1,)
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.full()):
-            acc = acc * z + c
-        return acc
-
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -155,15 +147,15 @@ def char_poly_exact(mat) -> CharPoly:
 def char_poly_exact_many(mats) -> list[CharPoly]:
     """Faddeev-LeVerrier over a (k, n, n) stack of integer matrices.
 
-    The products A M_k run on int64 while the overflow guard proves that no
-    entry of the next product, of its trace or of the next M_k can leave
-    int64.  The guard first propagates a bound on the entries, and measures
-    them only when that bound is too coarse: |A M_k| is at most the largest
-    absolute row sum of A times the largest entry of M_k.  From the first
-    step past the guard the stack continues on numpy object arrays of
-    Python ints, which cannot overflow.  Every trace division by the step
-    index is exact for integer matrices and checked so.  Supports n <= 64;
-    the big-integer cost grows fast beyond that.
+    The guard decides once per stack, before the first product, whether it
+    runs on int64 or on numpy object arrays of Python ints, which cannot
+    overflow.  With e the largest absolute entry, no absolute row sum of A
+    exceeds n e and |M_(k+1)| <= (n + 1) |A M_k|, so no entry of A M_k
+    exceeds e (n e (n + 1))^(k - 1); int64 is chosen only if the bound on
+    the last product, k = n, passes the guard.  A 0/1 stack stays on int64
+    up to n = 9.  Every trace division by the step index is exact for
+    integer matrices and checked so.  Supports n <= 64; the big-integer
+    cost grows fast beyond that.
     """
     return _char_polys(_as_int_stack(mats))
 
@@ -174,9 +166,9 @@ def _char_polys(a: np.ndarray) -> list[CharPoly]:
         raise SizeLimit(f"exact characteristic polynomial capped at n = {MAX_EXACT_ORDER}")
     if a.size == 0:
         return [CharPoly(())] * k
-    bound = max(int(a.max()), -int(a.min()))   # on the entries of A M_1 = A
-    a = a.astype(np.int64 if _fits_int64(bound, n) else object)
-    row_sum = n * bound   # at least every absolute row sum of A
+    entry = max(int(a.max()), -int(a.min()))
+    last = entry * (n * entry * (n + 1)) ** (n - 1)   # bounds the entries of A M_n
+    a = a.astype(np.int64 if _fits_int64(last, n) else object)
     traces = []   # traces[step - 1] = tr(A M_step) = -step c_step
     am = a.copy()   # copied, as the diagonal update is in place
     for step in range(1, n + 1):
@@ -184,11 +176,6 @@ def _char_polys(a: np.ndarray) -> list[CharPoly]:
         traces.append(np.add.reduce(diagonal, axis=1))
         if step < n:
             diagonal += (traces[-1] // -step)[:, None]   # M_(step+1) = A M_step + c I
-            bound *= row_sum * (n + 1)
-            if am.dtype != object and not _fits_int64(bound, n):
-                bound = int(np.abs(a).sum(axis=-1).max()) * max(int(am.max()), -int(am.min()))
-                if not _fits_int64(bound, n):
-                    a, am = a.astype(object), am.astype(object)
             am = a @ am
     steps = np.arange(n, 0, -1)
     traces = np.stack(traces[::-1], axis=1)   # the constant term's first
@@ -278,13 +265,9 @@ def _canonical(values: Iterable[complex]) -> tuple[complex, ...]:
     return tuple(sorted(values, key=lambda z: (-z.real, -z.imag)))
 
 
-def _coalesce_clusters(values: list[complex], scale: float, close: bool) -> list[complex]:
+def _coalesce_clusters(values: list[complex], scale: float) -> list[complex]:
     """Single-linkage clusters under CLUSTER_RTOL * scale; each cluster
-    whose spread fits a split multiple eigenvalue is replaced by its mean.
-    ``close=False`` says that no two values lie within that distance, so
-    that each is the mean of its own cluster."""
-    if not close:
-        return [sum([z]) / 1 for z in values]
+    whose spread fits a split multiple eigenvalue is replaced by its mean."""
     tol = CLUSTER_RTOL * scale
     k = len(values)
     parent = list(range(k))
@@ -368,35 +351,27 @@ def eigenvalues_many(mats, *, with_residuals: bool = True) -> list[Spectrum | No
 
 def _spectra(a: np.ndarray, with_residuals: bool) -> list[Spectrum | NoConvergence]:
     scales = np.maximum(1.0, np.sqrt(np.einsum("kij,kij->k", a, a)))
-    close = [True] * len(a)   # some two values may lie within the cluster tolerance
     try:
-        raw = np.linalg.eigvals(a).astype(complex)
+        rows = np.linalg.eigvals(a).astype(complex).tolist()
     except np.linalg.LinAlgError:
         rows = [None] * len(a)   # solve one at a time to find the failure
-    else:
-        rows = raw.tolist()
-        if len(a) > 1:
-            # The pair test _coalesce_clusters makes, for all rows at once;
-            # each value is within the tolerance of itself.
-            near = np.abs(raw[:, :, None] - raw[:, None, :]) <= CLUSTER_RTOL * scales[:, None, None]
-            close = (near.sum(axis=(1, 2)) > raw.shape[1]).tolist()
     out: list[Spectrum | NoConvergence] = []
-    for mat, scale, values, near in zip(a, scales.tolist(), rows, close):
+    for mat, scale, values in zip(a, scales.tolist(), rows):
         try:
-            out.append(_polished_spectrum(mat, scale, values, near, with_residuals))
+            out.append(_polished_spectrum(mat, scale, values, with_residuals))
         except NoConvergence as exc:
             out.append(exc)
     return out
 
 
 def _polished_spectrum(a: np.ndarray, scale: float, raw: list[complex] | None,
-                       close: bool, with_residuals: bool) -> Spectrum:
+                       with_residuals: bool) -> Spectrum:
     if raw is None:
         try:
             raw = [complex(z) for z in np.linalg.eigvals(a)]
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"QR iteration failed: {exc}") from exc
-    polished = _coalesce_clusters(raw, scale, close)
+    polished = _coalesce_clusters(raw, scale)
     polished = _conjugate_symmetrize(polished, CLUSTER_RTOL * scale)
     values = _canonical(polished)
     residuals: tuple[float, ...] = ()

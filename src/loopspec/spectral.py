@@ -20,8 +20,8 @@ from . import scc
 from .errors import CounterexampleError, NotRegular
 from .graphs import (Digraph, complement, count_two_cycles, delta_sigma,
                      is_acyclic, regularity)
-from .linalg import (CharPoly, Spectrum, adjacency, char_poly_exact,
-                     digraph_spectrum, poly_roots)
+from .linalg import (CharPoly, Spectrum, adjacency, char_poly_exact, eigenvalues,
+                     poly_roots)
 from .tolerances import (SPECTRUM_MATCH_TOL, TRACE_TOL, at_least, at_most,
                          strictly_greater)
 
@@ -96,7 +96,7 @@ class GraphFacts:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return digraph_spectrum(self.d, with_residuals=self.with_residuals)
+        return eigenvalues(self.adjacency, with_residuals=self.with_residuals)
 
     @cached_property
     def verified_spectrum(self) -> Spectrum:

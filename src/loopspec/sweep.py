@@ -48,7 +48,7 @@ import numpy as np
 
 from . import bounds, decomposition, spectral
 from .decomposition import ImplicationStatus
-from .errors import CounterexampleError, LoopspecError, SizeLimit
+from .errors import CounterexampleError, LoopspecError, OrderTooSmall, SizeLimit
 from .formats import to_json_dict
 from .graphs import Digraph, complement, degrees
 from .linalg import (MAX_ENUMERATION_ORDER, char_poly_exact_many, charpoly_product,
@@ -158,21 +158,19 @@ def _cert_outcome(*certs: bounds.BoundCertificate) -> CheckOutcome:
 
 
 def _certified(bound: str) -> Callable[[GraphFacts], CheckOutcome]:
-    """The check that every certificate ``bounds.<bound>`` returns holds.
+    """The check that every certificate ``bounds.<bound>`` returns holds;
+    "na" where the bound is undefined at the graph's order.
 
     The bound is looked up by name on each call, so whatever is bound to
     that name at the time (a tracing wrapper, say) sees the call.
     """
     def check(facts: GraphFacts) -> CheckOutcome:
-        certs = getattr(bounds, bound)(facts)
+        try:
+            certs = getattr(bounds, bound)(facts)
+        except OrderTooSmall as exc:
+            return CheckOutcome("na", str(exc))
         return _cert_outcome(*(certs if isinstance(certs, tuple) else (certs,)))
     return check
-
-
-def check_rho_upper(facts: GraphFacts) -> CheckOutcome:
-    if facts.n < 2:
-        return CheckOutcome("na", "needs n >= 2")
-    return _cert_outcome(bounds.rho_upper(facts))
 
 
 def check_trace_identities(facts: GraphFacts) -> CheckOutcome:
@@ -299,7 +297,7 @@ THEOREM_CHECKS: dict[str, Callable[[GraphFacts], CheckOutcome]] = {
     "mcclelland": _certified("mcclelland"),
     "rho_lower": _certified("rho_lower"),
     "energy_lower_c2": _certified("energy_lower_c2"),
-    "rho_upper": check_rho_upper,
+    "rho_upper": _certified("rho_upper"),
     "component_gap": _certified("component_gap"),
     "complement_rho_sum": _certified("complement_rho_sum"),
     "complement_energy_sum": _certified("complement_energy_sum"),
@@ -490,7 +488,7 @@ def _adjacency_stack(n: int, masks: Sequence[int]) -> np.ndarray:
 
 
 # Checks that read the exact charpoly, and its roots, of every graph.
-_READ_CHARPOLY = frozenset({"charpoly_invariance", "oracle_roots"})
+_READ_CHARPOLY = frozenset({"charpoly_invariance", "oracle_charpoly", "oracle_roots"})
 _READ_ROOTS = frozenset({"oracle_roots"})
 _STACK = 256   # graphs per stack of the batch stage; bounds the memory it holds
 
@@ -502,16 +500,19 @@ def _batch_facts(n: int, masks: Sequence[int], theorems: list[str]) -> Iterator[
     check reads them on every graph.  A graph whose computation fails gets
     no field, so that its own lazy call raises the error at the point of
     the check order where it always did."""
+    reads = set(theorems)
+    if n > MAX_ENUMERATION_ORDER:
+        reads.discard("oracle_charpoly")   # "na" on every graph: it reads nothing
     for lo in range(0, len(masks), _STACK):
         adj = _adjacency_stack(n, masks[lo:lo + _STACK])
         fields = {"spectrum": eigenvalues_many(adj, with_residuals=False)}
-        if _READ_CHARPOLY.intersection(theorems):
+        if _READ_CHARPOLY.intersection(reads):
             try:
                 fields["charpoly"] = char_poly_exact_many(adj)
             except LoopspecError:
                 pass   # beyond the exact size cap: each graph raises on its own
             else:
-                if _READ_ROOTS.intersection(theorems):
+                if _READ_ROOTS.intersection(reads):
                     fields["verified_spectrum"] = poly_roots_many(fields["charpoly"])
         for i in range(len(adj)):
             yield {name: values[i] for name, values in fields.items()

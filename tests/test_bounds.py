@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from loopspec import (OrderTooSmall, all_certificates, complement_energy_sum,
-                      complement_rho_sum, complete, component_gap,
+from loopspec import (ALL_BOUND_IDS, OrderTooSmall, all_certificates,
+                      complement_energy_sum, complement_rho_sum, complete, component_gap,
                       directed_cycle, disjoint_union, empty_digraph,
                       energy_lower_c2, mcclelland, mcclelland_equality_family,
                       new_digraph, power_sum_bounds, rho_lower,
@@ -257,3 +257,14 @@ class TestAllCertificates:
     def test_only_filter(self, k2_plus):
         certs = all_certificates(k2_plus, only="mcclelland")
         assert [c.bound_id for c in certs] == ["mcclelland"]
+
+    @pytest.mark.parametrize("bound_id", ALL_BOUND_IDS)
+    def test_only_picks_that_entry_of_the_full_list(self, bound_id, fig_union):
+        # The McClelland census witness: a directed triangle and a looped vertex.
+        witness = disjoint_union([directed_cycle(3), new_digraph(1, loops=[0])])
+        for d in (fig_union, witness):
+            full = {c.bound_id: repr(c) for c in all_certificates(d)}
+            assert [repr(c) for c in all_certificates(d, only=bound_id)] == [full[bound_id]]
+
+    def test_only_rho_upper_at_order_one(self):
+        assert all_certificates(new_digraph(1, loops=[0]), only="rho_upper") == []

@@ -108,8 +108,26 @@ class TestCharPolyExact:
             char_poly_exact(np.ones((65, 65), dtype=np.int64))
 
     def test_evaluation(self, k2_plus):
-        poly = digraph_charpoly(k2_plus)
-        assert abs(poly(GOLDEN)) < 1e-12
+        value = 0.0
+        for c in reversed(digraph_charpoly(k2_plus).full()):
+            value = value * GOLDEN + c
+        assert abs(value) < 1e-12
+
+    def test_float_and_object_input_convert_exactly(self):
+        # 1e20 and 2**63 are integers that int64 cannot hold.
+        assert char_poly_exact([[1e20, 0.0], [0.0, 1.0]]) == CharPoly((10 ** 20, -10 ** 20 - 1))
+        assert char_poly_exact([[2.0 ** 63]]) == CharPoly((-2 ** 63,))
+        assert char_poly_exact(np.array([[2 ** 64 - 1]], dtype=np.uint64)) == \
+            CharPoly((-2 ** 64 + 1,))
+
+    @pytest.mark.parametrize("mat", [
+        [[math.inf]], [[math.nan]], [[0.5]], np.array([[math.inf]], dtype=object),
+        np.array([[math.nan]], dtype=object), [[True, False], [False, True]],
+        np.array([[True, False], [True, True]], dtype=object),
+    ], ids=["inf", "nan", "half", "object-inf", "object-nan", "bool", "object-bool"])
+    def test_rejects_non_integral_and_bool_input(self, mat):
+        with pytest.raises(LoopspecError):
+            char_poly_exact(mat)
 
 
 class TestLinearSubdigraphCharpoly:
@@ -442,6 +460,19 @@ class TestBatchKernels:
                             lambda bound, n: verdicts.append(guard(bound, n)) or verdicts[-1])
         assert char_poly_exact_many(stack) == [object_charpoly(a) for a in stack]
         assert False in verdicts
+
+    @pytest.mark.parametrize("n, fits", [(9, True), (10, False)])
+    def test_one_guard_decision_per_stack(self, n, fits, monkeypatch):
+        # The bound on the last product of an all-ones matrix,
+        # (n (n + 1))^(n - 1), passes the guard at n = 9 only.
+        verdicts = []
+        guard = linalg._fits_int64
+        monkeypatch.setattr(linalg, "_fits_int64",
+                            lambda bound, n: verdicts.append(guard(bound, n)) or verdicts[-1])
+        stack = np.random.default_rng(n).integers(0, 2, (4, n, n))
+        stack[0] = 1
+        assert char_poly_exact_many(stack) == [object_charpoly(a) for a in stack]
+        assert verdicts == [fits]
 
     def test_fallback_at_the_start(self):
         big = np.array([[[2 ** 62, 1], [1, 0]]], dtype=object)

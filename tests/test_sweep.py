@@ -311,10 +311,30 @@ class TestSharedWork:
         assert all(sorted(known) == ["charpoly", "spectrum", "verified_spectrum"]
                    for known in everything)
         assert stacks == [2, 2, 2]
+        # oracle_charpoly reads the charpoly only where it can enumerate.
+        oracle = [list(sweep_module._batch_facts(n, masks, ["oracle_charpoly"])) for n in (8, 9)]
+        assert [[sorted(known) for known in fields] for fields in oracle] == [
+            [["charpoly", "spectrum"]] * 2, [["spectrum"]] * 2]
         for mask, known in zip(masks, everything):
             facts = GraphFacts(digraph_from_bits(2, mask))
             assert known == {"spectrum": facts.spectrum, "charpoly": facts.charpoly,
                              "verified_spectrum": facts.verified_spectrum}
+
+    def test_batch_read_sets_are_the_checks_that_read_every_graph(self):
+        # Run each check alone over the n = 3 classes on fresh facts: the
+        # fields it left cached on every graph are the ones it read.
+        graphs = [digraph_from_bits(3, mask) for mask in orbit_classes(3)[0]]
+        cached = {}
+        for name, check in THEOREM_CHECKS.items():
+            cached[name] = {"charpoly", "verified_spectrum"}
+            for d in graphs:
+                facts = GraphFacts(d)
+                check(facts)
+                cached[name] &= vars(facts).keys()
+        assert {name for name, fields in cached.items()
+                if "charpoly" in fields} == sweep_module._READ_CHARPOLY
+        assert {name for name, fields in cached.items()
+                if "verified_spectrum" in fields} == sweep_module._READ_ROOTS
 
     def test_adjacency_stack_past_64_bits(self):
         # At n = 9 a bit pattern has 81 bits.
