@@ -9,6 +9,13 @@ within ten times the equality tolerance of the boundary are recomputed
 from the roots of the exact characteristic polynomial before the equality
 flag is trusted.
 
+``certain_passes`` decides the bounds on a graph's own spectrum for a
+whole stack of graphs in numpy, from the same spectra.  It marks a graph
+only where every certificate clears the boundary by more than eleven
+times the tolerance, one beyond the re-check band: there the certifier
+would pass it with neither a re-check nor an equality flag.  Every other
+graph goes through the certifier, and equality flags come only from it.
+
 The two-cycle count convention is fixed package-wide: c2 counts ordered
 pairs, so each digon contributes two.  A halved convention would silently
 break every certificate here.
@@ -17,12 +24,16 @@ break every certificate here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import OrderTooSmall
 from .graphs import delta_sigma, regularity
+from .linalg import Spectrum
 from .spectral import FactsLike, as_facts
 from .tolerances import equality_tol
 
@@ -345,3 +356,58 @@ def all_certificates(d: FactsLike, only: str | None = None) -> list[BoundCertifi
         certs.extend(cert for cert in (out if isinstance(out, tuple) else (out,))
                      if only in (None, cert.bound_id))
     return certs
+
+
+# ---------------------------------------------------------------------------
+# Array pass
+
+def certain_passes(n: int, adj: np.ndarray, spectra: Sequence[Spectrum | Exception],
+                   tol: float) -> dict[str, np.ndarray]:
+    """Which rows of a (k, n, n) stack of 0/1 adjacency matrices
+    ``mcclelland``, ``rho_lower``, ``energy_lower_c2``, ``rho_upper`` and
+    ``power_sum_bounds`` certainly pass, as one boolean array per
+    certifier name.  ``spectra`` are the rows' spectra as the certifiers
+    read them; a row whose spectrum failed may hold its error instead.
+
+    A row is marked only where every certificate of the certifier has
+    rhs - lhs > (11 tol + 2 (n + 1) eps) max(1, |rhs|).  The certifier
+    would then pass it without the exact-root re-check and without
+    equality, so a caller may tally the pass without running it.  Every
+    other row (near or inside the re-check band, violated, with a failed
+    spectrum, or ``rho_upper`` at n = 1) is left to the certifier.  Each
+    count-only side is one exact integer over one float division, equal to
+    the certifier's value to the bit.  The spectral sides add their n
+    nonnegative terms with ``np.sum`` where the certifiers use
+    ``math.fsum``; the totals differ by at most (n + 1) eps of the larger,
+    which the margin's eps term covers at any tol.
+    """
+    k = len(adj)
+    a = adj.astype(np.int64)
+    sigma = np.einsum("kii->k", a)
+    m = a.sum(axis=(1, 2)) - sigma
+    c2 = np.einsum("kij,kji->k", a, a) - sigma
+    edges = m + c2 + 2 * sigma
+    failed = (complex("nan"),) * n
+    z = np.array([s.values if isinstance(s, Spectrum) else failed for s in spectra],
+                 dtype=complex).reshape(k, n)
+    energy = np.abs(z.real - (sigma / n)[:, None]).sum(axis=1)
+    rho = np.abs(z).max(axis=1)
+    re2 = (z.real * z.real).sum(axis=1)
+    im2 = (z.imag * z.imag).sum(axis=1)
+    margin = 11 * tol + 2 * (n + 1) * sys.float_info.epsilon
+
+    def clear(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        ok = np.ones(k, dtype=bool)
+        for lhs, rhs in pairs:
+            ok &= rhs - lhs > margin * np.maximum(1.0, np.abs(rhs))
+        return ok
+
+    return {
+        "mcclelland": clear((energy, np.sqrt((n * edges - 2 * sigma ** 2) / 2))),
+        "rho_lower": clear(((c2 + sigma) / n, rho)),
+        "energy_lower_c2": clear((2 * c2 / n, energy)),
+        "rho_upper": clear((rho, sigma / n + np.sqrt(
+            (n * (n - 1) * edges - 2 * (n - 1) * sigma ** 2) / (2 * n * n)))) & (n >= 2),
+        "power_sum_bounds": clear((re2 + im2, (m + sigma).astype(float)),
+                                  (re2, edges / 2), (im2, (m - c2) / 2)),
+    }

@@ -352,16 +352,39 @@ def eigenvalues_many(mats, *, with_residuals: bool = True) -> list[Spectrum | No
 def _spectra(a: np.ndarray, with_residuals: bool) -> list[Spectrum | NoConvergence]:
     scales = np.maximum(1.0, np.sqrt(np.einsum("kij,kij->k", a, a)))
     try:
-        rows = np.linalg.eigvals(a).astype(complex).tolist()
+        raw = np.linalg.eigvals(a).astype(complex)
     except np.linalg.LinAlgError:
         rows = [None] * len(a)   # solve one at a time to find the failure
+        apart = [False] * len(a)
+    else:
+        rows = raw.tolist()
+        # On one matrix the vectorised pair test costs more than it saves.
+        apart = (_no_close_pair(raw, scales).tolist() if len(a) > 1 and not with_residuals
+                 else [False] * len(a))
     out: list[Spectrum | NoConvergence] = []
-    for mat, scale, values in zip(a, scales.tolist(), rows):
+    for mat, scale, values, alone in zip(a, scales.tolist(), rows, apart):
+        if alone:
+            # The polish would leave these values as they are, LAPACK's
+            # conjugates being exact, but for adding each to 0, which
+            # turns a -0.0 into 0.0.
+            out.append(Spectrum(_canonical([z + 0.0 for z in values])))
+            continue
         try:
             out.append(_polished_spectrum(mat, scale, values, with_residuals))
         except NoConvergence as exc:
             out.append(exc)
     return out
+
+
+def _no_close_pair(raw: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """The rows of a (k, n) value stack with no two values within
+    CLUSTER_RTOL * scale of each other, the pair test of
+    ``_coalesce_clusters``; widened by 1e-9 relative, so that a last-bit
+    difference between numpy's and Python's complex modulus cannot keep a
+    close pair from the polish.  Each value is within that of itself."""
+    near = np.abs(raw[:, :, None] - raw[:, None, :]) <= (
+        CLUSTER_RTOL * (1 + 1e-9)) * scales[:, None, None]
+    return near.sum(axis=(1, 2)) == raw.shape[1]
 
 
 def _polished_spectrum(a: np.ndarray, scale: float, raw: list[complex] | None,

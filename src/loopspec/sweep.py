@@ -16,14 +16,20 @@ Both modes run the same loop.  An input source yields chunks of (bit
 pattern, weight) pairs; one chunk runner checks each chunk, serially or
 in a worker process, and ``sweep`` merges the chunks in order.
 
-Before any check runs, a batch stage computes the chunk's spectra on one
-stack of adjacency matrices, and its exact charpolys and their roots when
-a selected check reads them on every graph; each graph's ``GraphFacts``
-starts with these fields filled.  Everything else a check reads
-(complement, components, the exact roots that a near-equality
-certificate asks for) stays lazy.  A graph whose batch row fails gets the
-field unfilled, so its own lazy call raises at the same point of the
-check order as it would alone, and only if the sweep reaches it.
+Before any check runs, a batch stage computes the chunk's spectra on
+stacks of adjacency matrices.  From them ``bounds.certain_passes``
+decides, in numpy, every certificate check on a graph's own spectrum
+that certainly passes without equality; such a check is tallied as a
+pass without running, and a graph whose selected checks are all decided
+builds no facts at all.  The graphs that such a check leaves undecided,
+which are the ones whose certificates may ask for exact roots, get their
+exact charpolys and roots from one batch call per stack; so does every
+graph when a selected check reads them on every graph.  Each graph's
+``GraphFacts`` starts with these fields filled.  Everything else a check
+reads (complement, components) stays lazy.  A graph whose batch row
+fails gets the field unfilled, so its own lazy call raises at the same
+point of the check order as it would alone, and only if the sweep
+reaches it.
 
 A failed check is a counterexample to a published statement; the sweep
 stops, serializes the witness graph, and the report carries it.  A sweep
@@ -55,7 +61,7 @@ from .linalg import (MAX_ENUMERATION_ORDER, char_poly_exact_many, charpoly_produ
                      eigenvalues_many, linear_subdigraph_charpoly,
                      matching_distance, poly_roots_many)
 from .spectral import GraphFacts
-from .tolerances import SPECTRUM_MATCH_TOL, TRACE_TOL
+from .tolerances import SPECTRUM_MATCH_TOL, TRACE_TOL, equality_tol
 
 MAX_EXHAUSTIVE_ORDER = 5
 
@@ -170,6 +176,7 @@ def _certified(bound: str) -> Callable[[GraphFacts], CheckOutcome]:
         except OrderTooSmall as exc:
             return CheckOutcome("na", str(exc))
         return _cert_outcome(*(certs if isinstance(certs, tuple) else (certs,)))
+    check.bound = bound   # what the batch stage's array pass knows it by
     return check
 
 
@@ -361,8 +368,10 @@ class SweepReport:
     theorems: list[str]
     graphs_checked: int
     checks: dict[str, _Tally]
-    # bound id -> (bit mask, census signature, witness) per census entry
-    census_entries: dict[str, list[tuple[int, str, Optional[str]]]]
+    # bound id -> the bit masks, census signatures and witnesses of its
+    # census entries, as three lists in entry order, so that a report holds
+    # no object per entry but its mask
+    census_entries: dict[str, tuple[list[int], list[str], list[Optional[str]]]]
     counterexamples: list[dict]
     census_findings: list[dict]
     params: dict
@@ -374,8 +383,8 @@ class SweepReport:
         return {
             bound_id: [{"graph": to_json_dict(digraph_from_bits(self.n, mask)),
                         "signature": signature, "witness": witness}
-                       for mask, signature, witness in entries]
-            for bound_id, entries in self.census_entries.items()
+                       for mask, signature, witness in zip(*columns)]
+            for bound_id, columns in self.census_entries.items()
         }
 
     def to_json_dict(self) -> dict:
@@ -427,7 +436,7 @@ def census_findings(report: SweepReport) -> list[dict]:
              "equality attained outside the published family list"),
             (bounds.RHO_LOWER, bounds.STRUCTURE_UNRECOGNIZED,
              "equality without the symmetric bidegree structure")):
-        for mask, _, witness in report.census_entries.get(bound_id, ()):
+        for mask, _, witness in zip(*report.census_entries.get(bound_id, ())):
             if witness == gap:
                 findings.append({
                     "bound_id": bound_id,
@@ -437,22 +446,29 @@ def census_findings(report: SweepReport) -> list[dict]:
 
 
 def _check_graph(report: SweepReport, mask: int, theorems: list[str],
-                 weight: int, known: dict) -> bool:
+                 weight: int, known: dict, decided: frozenset[str]) -> bool:
     """Run the selected checks on the graph with bit pattern ``mask``, which
     stands for ``weight`` labeled graphs, with the ``GraphFacts`` fields
     ``known`` already computed; returns False when a counterexample stops
-    the sweep.  Each equality certificate adds a census entry; the merge
+    the sweep.  A check in ``decided`` is known to pass without equality
+    and is tallied without running; the graph's facts are built only when
+    a check runs.  Each equality certificate adds a census entry; the merge
     keeps the first one per signature."""
-    d = digraph_from_bits(report.n, mask)
-    facts = GraphFacts(d, with_residuals=False, **known)
     report.graphs_checked += weight
+    facts = None
     signature = None
     for name in theorems:
+        tally = report.checks[name]
+        if name in decided:
+            tally.passed += weight
+            continue
+        if facts is None:
+            facts = GraphFacts(digraph_from_bits(report.n, mask), with_residuals=False,
+                               **known)
         try:
             outcome = THEOREM_CHECKS[name](facts)
         except CounterexampleError as exc:
             outcome = CheckOutcome("fail", str(exc))
-        tally = report.checks[name]
         if outcome.status == "pass":
             tally.passed += weight
         elif outcome.status == "na":
@@ -461,7 +477,7 @@ def _check_graph(report: SweepReport, mask: int, theorems: list[str],
             tally.failed += weight
             report.counterexamples.append({
                 "check": name,
-                "graph": to_json_dict(d),
+                "graph": to_json_dict(facts.d),
                 "detail": outcome.detail,
             })
             return False
@@ -471,9 +487,14 @@ def _check_graph(report: SweepReport, mask: int, theorems: list[str],
                 # keeps share these strings.
                 signature = signature or sys.intern(_census_signature(facts))
                 witness = cert.witness and sys.intern(cert.witness)
-                report.census_entries.setdefault(cert.bound_id, []).append(
-                    (mask, signature, witness))
+                _add_census_entry(report, cert.bound_id, mask, signature, witness)
     return True
+
+
+def _add_census_entry(report: SweepReport, bound_id: str, *entry) -> None:
+    """Append (bit mask, census signature, witness) to the bound's census."""
+    for column, value in zip(report.census_entries.setdefault(bound_id, ([], [], [])), entry):
+        column.append(value)
 
 
 def _adjacency_stack(n: int, masks: Sequence[int]) -> np.ndarray:
@@ -493,30 +514,60 @@ _READ_ROOTS = frozenset({"oracle_roots"})
 _STACK = 256   # graphs per stack of the batch stage; bounds the memory it holds
 
 
-def _batch_facts(n: int, masks: Sequence[int], theorems: list[str]) -> Iterator[dict]:
-    """The ``GraphFacts`` fields of each graph in a chunk, computed on
-    stacks of up to _STACK graphs as the chunk's checks reach them: every
-    spectrum, and the exact charpolys, and their roots, when a selected
-    check reads them on every graph.  A graph whose computation fails gets
-    no field, so that its own lazy call raises the error at the point of
-    the check order where it always did."""
+def _batch_facts(n: int, masks: Sequence[int],
+                 theorems: list[str]) -> Iterator[tuple[frozenset[str], dict]]:
+    """For each graph of a chunk, the selected checks that certainly pass
+    and the ``GraphFacts`` fields already computed, worked out on stacks
+    of up to _STACK graphs as the chunk's checks reach them.
+
+    Every stack gets its spectra, and ``bounds.certain_passes`` decides
+    the certificate checks it can from them.  A graph that some such check
+    leaves undecided gets its exact charpoly and roots, which that
+    check's re-check may read; so does every graph when a selected check
+    reads them on every graph.  A graph whose computation fails gets no
+    field, so that its own lazy call raises the error at the point of the
+    check order where it always did."""
     reads = set(theorems)
     if n > MAX_ENUMERATION_ORDER:
         reads.discard("oracle_charpoly")   # "na" on every graph: it reads nothing
+    certified = [(name, THEOREM_CHECKS[name].bound) for name in theorems
+                 if hasattr(THEOREM_CHECKS[name], "bound")]
     for lo in range(0, len(masks), _STACK):
         adj = _adjacency_stack(n, masks[lo:lo + _STACK])
-        fields = {"spectrum": eigenvalues_many(adj, with_residuals=False)}
-        if _READ_CHARPOLY.intersection(reads):
-            try:
-                fields["charpoly"] = char_poly_exact_many(adj)
-            except LoopspecError:
-                pass   # beyond the exact size cap: each graph raises on its own
-            else:
-                if _READ_ROOTS.intersection(reads):
-                    fields["verified_spectrum"] = poly_roots_many(fields["charpoly"])
-        for i in range(len(adj)):
-            yield {name: values[i] for name, values in fields.items()
-                   if not isinstance(values[i], LoopspecError)}
+        spectra = eigenvalues_many(adj, with_residuals=False)
+        known = [{} if isinstance(s, LoopspecError) else {"spectrum": s} for s in spectra]
+        decided = [frozenset()] * len(adj)
+        columns = []
+        if certified:
+            passes = bounds.certain_passes(n, adj, spectra, equality_tol())
+            columns = [(name, passes[bound].tolist()) for name, bound in certified
+                       if bound in passes]
+            decided = [frozenset(name for name, column in columns if column[i])
+                       for i in range(len(adj))]
+        undecided = [i for i, names in enumerate(decided) if len(names) < len(columns)]
+        every = range(len(adj))
+        _preset_exact(adj, known, every if _READ_CHARPOLY.intersection(reads) else undecided,
+                      every if _READ_ROOTS.intersection(reads) else undecided)
+        yield from zip(decided, known)
+
+
+def _preset_exact(adj: np.ndarray, known: list[dict], charpoly_rows: Sequence[int],
+                  root_rows: Sequence[int]) -> None:
+    """Add to ``known`` the exact charpolys of the stack rows
+    ``charpoly_rows`` and the roots of ``root_rows``, a subset of them;
+    each from one batch call."""
+    if not charpoly_rows:
+        return
+    try:
+        charpolys = dict(zip(charpoly_rows, char_poly_exact_many(adj[list(charpoly_rows)])))
+    except LoopspecError:
+        return   # beyond the exact size cap: each graph raises on its own
+    for i, charpoly in charpolys.items():
+        known[i]["charpoly"] = charpoly
+    if root_rows:
+        for i, roots in zip(root_rows, poly_roots_many([charpolys[i] for i in root_rows])):
+            if not isinstance(roots, LoopspecError):
+                known[i]["verified_spectrum"] = roots
 
 
 def _run_chunk(args: tuple) -> SweepReport:
@@ -524,8 +575,9 @@ def _run_chunk(args: tuple) -> SweepReport:
     first counterexample."""
     n, masks, weights, theorems = args
     report = _new_report(n, "", theorems, {})
-    for mask, weight, known in zip(masks, weights, _batch_facts(n, masks, theorems)):
-        if not _check_graph(report, mask, theorems, weight, known):
+    for mask, weight, (decided, known) in zip(masks, weights,
+                                              _batch_facts(n, masks, theorems)):
+        if not _check_graph(report, mask, theorems, weight, known, decided):
             break
     return report
 
@@ -541,12 +593,12 @@ def _merge_reports(into: SweepReport, part: SweepReport,
         target.failed += tally.failed
         target.na += tally.na
     into.counterexamples.extend(part.counterexamples)
-    for bound_id, entries in part.census_entries.items():
+    for bound_id, columns in part.census_entries.items():
         seen = census_seen.setdefault(bound_id, set())
-        for entry in entries:
+        for entry in zip(*columns):
             if entry[1] not in seen:
                 seen.add(entry[1])
-                into.census_entries.setdefault(bound_id, []).append(entry)
+                _add_census_entry(into, bound_id, *entry)
 
 
 _PART_CLASSES = 4096   # graphs per unit of work handed to one worker

@@ -25,6 +25,11 @@ from loopspec.sweep import random_digraph, sweep
 from test_acceptance import CRITERION_3_CHECKS
 
 CENSUS_CHECKS = ["mcclelland", "rho_lower"]
+# The checks whose certificates the batch stage's array pass can decide.
+ARRAY5 = ["mcclelland", "rho_lower", "energy_lower_c2", "rho_upper", "power_sums"]
+# Seeds of 48 samples at n = 7 where an earlier eigenvalue polish reported
+# false trace-identity counterexamples.
+N7_SEEDS = [(2 * 100000 + 25) * 48, (10 * 100000 + 15) * 48, (12 * 100000 + 85) * 48]
 
 
 def _digest(text: str) -> str:
@@ -61,14 +66,25 @@ def test_exhaustive_all_checks_n4():
         "b8ac4048a4f6936b64f70934c7c272b17c4b8adf0c4eb48baf69a3a1e5848225"
 
 
+def test_exhaustive_array_checks_n1():
+    # rho_upper is "na" at n = 1.
+    assert report_digest(sweep(1, ARRAY5)) == \
+        "e5187a8b764576eba3a25a8d6712da32c118ea615745842576ca0279a9652072"
+
+
+def test_exhaustive_array_checks_n4_wide_tolerance(monkeypatch):
+    # A tolerance of 0.05 puts many graphs inside the widened band.
+    monkeypatch.setenv("LOOPSPEC_TOL", "0.05")
+    assert report_digest(sweep(4, ARRAY5)) == \
+        "a66a7f87eccba6ed0969ef3f995f40594ebb90e282685ecb18db954961de7628"
+
+
 SAMPLED = [
-    # All checks at n = 7, at seeds where an earlier eigenvalue polish
-    # reported false trace-identity counterexamples.
-    ((7, "all"), {"samples": 48, "seed": (2 * 100000 + 25) * 48},
+    ((7, "all"), {"samples": 48, "seed": N7_SEEDS[0]},
      "9a8cbf4fd187b3cc226f827aa8173aa5d930c7d068280a28b50b5655ed42b974"),
-    ((7, "all"), {"samples": 48, "seed": (10 * 100000 + 15) * 48},
+    ((7, "all"), {"samples": 48, "seed": N7_SEEDS[1]},
      "b6c941fc9021b91ca74ad815a7eccb89ca47c29c0ce54af4fed3577332763d73"),
-    ((7, "all"), {"samples": 48, "seed": (12 * 100000 + 85) * 48},
+    ((7, "all"), {"samples": 48, "seed": N7_SEEDS[2]},
      "fe5043e17f683287fa9dc72e2a1307b2f74812a9c2e1b9c50b7aa9cdd3481fd5"),
     ((4, CENSUS_CHECKS), {"samples": 400, "seed": 3},
      "d71d3a3b03305f9e6fc220a71942d95b609866f24a2d02d995b9b1e34a1241fb"),
@@ -86,6 +102,8 @@ SAMPLED = [
      "84e7d891dd4537f5669441baac34eeaaad6015b62516b81b83a31e6976304213"),
     ((12, "all"), {"samples": 6, "seed": 5},
      "4af7f39cfe079d0222b8f183662b9393a6d951c7bf122f37e60da85ac2ca2fc5"),
+    ((12, ARRAY5), {"samples": 64, "seed": 5},
+     "9ffbb4afdca864769ca504aa92eb959789a135cf05eacb886e4b042639c8cda3"),
 ]
 
 

@@ -22,6 +22,7 @@ from loopspec.linalg import (_aberth_many, _divide_monic, _horner_pair,
 from loopspec.spectral import trace_identities
 from loopspec.sweep import (digraph_from_bits, iterate_all, orbit_classes,
                             random_digraph)
+from test_golden import N7_SEEDS
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -485,6 +486,27 @@ class TestBatchKernels:
             repr(eigenvalues(a, with_residuals=False).values) for a in stack]
         with_residuals = eigenvalues_many(stack[:20])
         assert [repr(s) for s in with_residuals] == [repr(eigenvalues(a)) for a in stack[:20]]
+
+    def test_rows_without_a_close_pair_skip_the_polish_bitwise(self):
+        # Such a row's spectrum is its sorted LAPACK values: the polish
+        # would only turn a -0.0 into 0.0, as the last stack's matrices
+        # make LAPACK return, once as the real part of a conjugate pair.
+        stacks = [_stack(digraph_from_bits(n, mask) for mask in orbit_classes(n)[0])
+                  for n in range(1, 5)]
+        stacks += [_stack(random_digraph(7, 0.5, 0.5, seed + i) for i in range(48))
+                   for seed in N7_SEEDS]
+        stacks.append(np.array([[[-0.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, -0.0]]]))
+        skipped = total = 0
+        for stack in stacks:
+            a = stack.astype(float)
+            scales = np.maximum(1.0, np.sqrt(np.einsum("kij,kij->k", a, a)))
+            raw = np.linalg.eigvals(a).astype(complex)
+            skipped += int(linalg._no_close_pair(raw, scales).sum())
+            total += len(a)
+            assert [repr(s) for s in eigenvalues_many(a, with_residuals=False)] == [
+                repr(linalg._polished_spectrum(mat, scale, values, False))
+                for mat, scale, values in zip(a, scales.tolist(), raw.tolist())]
+        assert 0 < skipped < total
 
     def test_batched_aberth_matches_the_scalar_iteration(self):
         factors, caps = [], []

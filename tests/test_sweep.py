@@ -18,7 +18,9 @@ from loopspec.sweep import (CheckOutcome, THEOREM_CHECKS, _census_signature,
                             _run_chunk, digraph_from_bits, iterate_all,
                             orbit_classes, random_digraph, resolve_theorems,
                             sweep)
+from loopspec.tolerances import equality_tol
 from mcclelland_witness import is_triangle_plus_looped_vertex
+from test_golden import ARRAY5, N7_SEEDS
 
 
 class TestIterateAll:
@@ -297,25 +299,49 @@ class TestSharedWork:
 
     def test_batch_fills_spectra_and_exact_roots_only_when_read(self, monkeypatch):
         # Two graphs in one chunk: their spectra come from one stacked
-        # call, and the exact charpolys and roots only with oracle_roots.
-        stacks = []
-        real = sweep_module.eigenvalues_many
-        monkeypatch.setattr(sweep_module, "eigenvalues_many",
-                            lambda mats, **kw: stacks.append(len(mats)) or real(mats, **kw))
-        masks = [0b1011, 0b0110]
-        census = list(sweep_module._batch_facts(2, masks, ["mcclelland", "rho_lower"]))
-        assert [sorted(known) for known in census] == [["spectrum"], ["spectrum"]]
-        invariance = list(sweep_module._batch_facts(2, masks, ["charpoly_invariance"]))
-        assert [sorted(known) for known in invariance] == [["charpoly", "spectrum"]] * 2
+        # call, and the exact charpolys and roots only with oracle_roots,
+        # or on a graph whose certificate check the arrays leave open.
+        # A loop with an arc (0b0011) clears every such bound, so in the
+        # census it gets no charpoly; the loopless digon (0b0110) attains
+        # every one.
+        stacks = collections.Counter()
+
+        def counted(name):
+            real = getattr(sweep_module, name)
+
+            def wrapper(mats, **kwargs):
+                stacks[name, len(mats)] += 1
+                return real(mats, **kwargs)
+            monkeypatch.setattr(sweep_module, name, wrapper)
+
+        for name in ("eigenvalues_many", "char_poly_exact_many", "poly_roots_many"):
+            counted(name)
+        masks = [0b0011, 0b0110]
+
+        def batch(theorems, n=2):
+            return [(sorted(decided), sorted(known)) for decided, known
+                    in sweep_module._batch_facts(n, masks, theorems)]
+
+        assert batch(["mcclelland", "rho_lower"]) == [
+            (["mcclelland", "rho_lower"], ["spectrum"]),
+            ([], ["charpoly", "spectrum", "verified_spectrum"])]
+        assert stacks == {("eigenvalues_many", 2): 1, ("char_poly_exact_many", 1): 1,
+                          ("poly_roots_many", 1): 1}
+        stacks.clear()
+        assert batch(["charpoly_invariance"]) == [([], ["charpoly", "spectrum"])] * 2
+        assert stacks == {("eigenvalues_many", 2): 1, ("char_poly_exact_many", 2): 1}
+        stacks.clear()
         everything = list(sweep_module._batch_facts(2, masks, resolve_theorems("all")))
+        assert [sorted(decided) for decided, _ in everything] == [
+            ["energy_lower_c2", "mcclelland", "power_sums", "rho_lower", "rho_upper"], []]
         assert all(sorted(known) == ["charpoly", "spectrum", "verified_spectrum"]
-                   for known in everything)
-        assert stacks == [2, 2, 2]
+                   for _, known in everything)
+        assert stacks == {("eigenvalues_many", 2): 1, ("char_poly_exact_many", 2): 1,
+                          ("poly_roots_many", 2): 1}
         # oracle_charpoly reads the charpoly only where it can enumerate.
-        oracle = [list(sweep_module._batch_facts(n, masks, ["oracle_charpoly"])) for n in (8, 9)]
-        assert [[sorted(known) for known in fields] for fields in oracle] == [
-            [["charpoly", "spectrum"]] * 2, [["spectrum"]] * 2]
-        for mask, known in zip(masks, everything):
+        assert [batch(["oracle_charpoly"], n) for n in (8, 9)] == [
+            [([], ["charpoly", "spectrum"])] * 2, [([], ["spectrum"])] * 2]
+        for mask, (_, known) in zip(masks, everything):
             facts = GraphFacts(digraph_from_bits(2, mask))
             assert known == {"spectrum": facts.spectrum, "charpoly": facts.charpoly,
                              "verified_spectrum": facts.verified_spectrum}
@@ -343,6 +369,57 @@ class TestSharedWork:
         assert stack.shape == (3, 9, 9)
         for mask, matrix in zip(masks, stack):
             assert matrix.tolist() == linalg.adjacency(digraph_from_bits(9, mask)).tolist()
+
+
+class TestArrayPass:
+    @pytest.mark.parametrize("tol", [None, "0.05"])
+    def test_decided_checks_are_clear_scalar_passes(self, tol, monkeypatch):
+        # Every (graph, check) pair the arrays decide passes the scalar
+        # check, with every certificate outside the 10 x tol re-check band.
+        if tol is not None:
+            monkeypatch.setenv("LOOPSPEC_TOL", tol)
+        band = 10 * equality_tol()
+        stacks = [(n, orbit_classes(n)[0]) for n in range(1, 5)]
+        stacks += [(7, [sweep_module._sample_mask(7, 0.5, 0.5, seed + i) for i in range(48)])
+                   for seed in N7_SEEDS]
+        decided_pairs = open_pairs = 0
+        for n, masks in stacks:
+            for mask, (decided, _) in zip(masks, sweep_module._batch_facts(n, masks, ARRAY5)):
+                assert n > 1 or "rho_upper" not in decided
+                decided_pairs += len(decided)
+                open_pairs += len(ARRAY5) - len(decided)
+                facts = GraphFacts(digraph_from_bits(n, mask))
+                for name in decided:
+                    outcome = THEOREM_CHECKS[name](facts)
+                    assert outcome.status == "pass"
+                    assert all(abs(c.slack) > band * max(1.0, abs(c.rhs))
+                               for c in outcome.certificates)
+        assert decided_pairs > 0 and open_pairs > 0
+
+    def test_decided_checks_keep_the_check_order(self, monkeypatch):
+        # trace_identities fails on one n = 3 class whose array checks are
+        # all decided, between two of them and two more: the chunk runner
+        # tallies and stops as the per-graph walk with nothing decided and
+        # nothing preset does.
+        masks, weights = orbit_classes(3)
+        theorems = ["mcclelland", "rho_lower", "trace_identities", "power_sums", "rho_upper"]
+        target = next(mask for mask, (decided, _) in
+                      zip(masks, sweep_module._batch_facts(3, masks, theorems))
+                      if mask > masks[len(masks) // 2] and len(decided) == 4)
+        real = THEOREM_CHECKS["trace_identities"]
+        monkeypatch.setitem(THEOREM_CHECKS, "trace_identities", lambda facts: (
+            CheckOutcome("fail", "synthetic")
+            if facts.d == digraph_from_bits(3, target) else real(facts)))
+        chunk = _run_chunk((3, masks, weights, theorems)).to_json_dict()
+        walk = sweep_module._new_report(3, "", theorems, {})
+        for mask, weight in zip(masks, weights):
+            if not sweep_module._check_graph(walk, mask, theorems, weight, {}, frozenset()):
+                break
+        assert chunk == walk.to_json_dict()
+        assert chunk["counterexamples"][0]["graph"] == to_json_dict(digraph_from_bits(3, target))
+        checked = chunk["graphs_checked"]
+        assert chunk["checks"]["rho_lower"]["pass"] == checked
+        assert chunk["checks"]["power_sums"]["pass"] < checked
 
 
 class TestFailureIsolation:
@@ -432,8 +509,8 @@ class TestCensusFindings:
                 ("rho_lower",
                  lambda f: not rho_lower_equality_structure(f),
                  STRUCTURE_UNRECOGNIZED)):
-            entries = report.census_entries[bound_id]
-            assert entries
-            for mask, _, witness in entries:
+            masks, _, witnesses = report.census_entries[bound_id]
+            assert masks
+            for mask, witness in zip(masks, witnesses):
                 facts = GraphFacts(digraph_from_bits(4, mask))
                 assert gap(facts) == (witness == unrecognized)
