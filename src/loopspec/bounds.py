@@ -4,17 +4,16 @@ equality-case recognition.
 
 Every certificate is oriented as lhs <= rhs, so ``slack`` is nonnegative
 whenever the bound holds.  All count arithmetic (m, c2, sigma) is exact
-rational; only spectra contribute floating point.  Certificates that land
-within ten times the equality tolerance of the boundary are recomputed
-from the roots of the exact characteristic polynomial before the equality
-flag is trusted.
+rational; only spectra contribute floating point.  ``tolerances`` sets
+every flag: certificates near the boundary are recomputed from the roots
+of the exact characteristic polynomial before the equality flag is trusted.
 
 ``certain_passes`` decides the bounds on a graph's own spectrum for a
 whole stack of graphs in numpy, from the same spectra.  It marks a graph
-only where every certificate clears the boundary by more than eleven
-times the tolerance, one beyond the re-check band: there the certifier
-would pass it with neither a re-check nor an equality flag.  Every other
-graph goes through the certifier, and equality flags come only from it.
+only where every certificate clears the boundary by one tolerance beyond
+the re-check band: there the certifier would pass it with neither a
+re-check nor an equality flag.  Every other graph goes through the
+certifier, and equality flags come only from it.
 
 The two-cycle count convention is fixed package-wide: c2 counts ordered
 pairs, so each digon contributes two.  A halved convention would silently
@@ -24,7 +23,6 @@ break every certificate here.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -35,7 +33,7 @@ from .errors import OrderTooSmall
 from .graphs import delta_sigma, regularity
 from .linalg import Spectrum
 from .spectral import FactsLike, as_facts
-from .tolerances import equality_tol
+from .tolerances import RECHECK_BAND, certain_margin, equality_tol, recheck, slack_verdict
 
 MCCLELLAND = "mcclelland"
 RHO_LOWER = "rho_lower"
@@ -84,15 +82,8 @@ def _certify(bound_id: str,
     """Build a certificate; near-boundary slacks trigger the exact-root
     recomputation before flags are set."""
     tol = equality_tol()
-    lhs, rhs = compute(False)
-    slack = rhs - lhs
-    scale = max(1.0, abs(rhs))
-    if abs(slack) <= 10.0 * tol * scale:
-        lhs, rhs = compute(True)
-        slack = rhs - lhs
-        scale = max(1.0, abs(rhs))
-    holds = slack >= -tol * scale
-    equality = abs(slack) <= tol * scale
+    lhs, rhs = recheck(compute, RECHECK_BAND * tol)
+    slack, holds, equality, _, _ = slack_verdict(lhs, rhs, tol)
     return BoundCertificate(
         bound_id=bound_id, lhs=lhs, rhs=rhs, holds=holds, slack=slack,
         equality=equality,
@@ -370,7 +361,7 @@ def certain_passes(n: int, adj: np.ndarray, spectra: Sequence[Spectrum | Excepti
     read them; a row whose spectrum failed may hold its error instead.
 
     A row is marked only where every certificate of the certifier has
-    rhs - lhs > (11 tol + 2 (n + 1) eps) max(1, |rhs|).  The certifier
+    rhs - lhs > ``certain_margin(n, tol)`` max(1, |rhs|).  The certifier
     would then pass it without the exact-root re-check and without
     equality, so a caller may tally the pass without running it.  Every
     other row (near or inside the re-check band, violated, with a failed
@@ -394,7 +385,7 @@ def certain_passes(n: int, adj: np.ndarray, spectra: Sequence[Spectrum | Excepti
     rho = np.abs(z).max(axis=1)
     re2 = (z.real * z.real).sum(axis=1)
     im2 = (z.imag * z.imag).sum(axis=1)
-    margin = 11 * tol + 2 * (n + 1) * sys.float_info.epsilon
+    margin = certain_margin(n, tol)
 
     def clear(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         ok = np.ones(k, dtype=bool)

@@ -12,6 +12,8 @@ inequalities to E <= sum E(D_i).  Components are reordered so those with
 sigma_i/n_i above the global ratio come first; the reordering permutation
 is recorded.  All ratio arithmetic is exact rational, so the antecedent of
 the first theorem and the consequent of the second are decided exactly.
+The threshold sets and the energy comparison go through ``tolerances``,
+which holds their margins and the exact-root re-check rule.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import Optional
 
 from .linalg import Spectrum
 from .spectral import FactsLike, as_facts
-from .tolerances import strictly_greater
+from .tolerances import (ENERGY_CERTAINTY, ENERGY_RECHECK_BAND, recheck, slack_verdict,
+                         threshold_side)
 
 
 class ImplicationStatus(enum.Enum):
@@ -81,22 +84,12 @@ class ImplicationRecord:
     implication_ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "antecedent": {
-                "lhs": self.antecedent_lhs,
-                "rhs": self.antecedent_rhs,
-                "holds": self.antecedent_holds,
-                "strict": self.antecedent_strict,
-            },
-            "consequent": {
-                "lhs": self.consequent_lhs,
-                "rhs": self.consequent_rhs,
-                "holds": self.consequent_holds,
-                "strict": self.consequent_strict,
-            },
-            "implication_ok": self.implication_ok,
-        }
+        out: dict = {"status": self.status.value}
+        for side in ("antecedent", "consequent"):
+            out[side] = {key: getattr(self, f"{side}_{key}")
+                         for key in ("lhs", "rhs", "holds", "strict")}
+        out["implication_ok"] = self.implication_ok
+        return out
 
 
 def analyze(d: FactsLike) -> ComponentAnalysis:
@@ -110,9 +103,9 @@ def analyze(d: FactsLike) -> ComponentAnalysis:
         spectrum = comp_facts.spectrum
         report = comp_facts.energy_report()
         a_idx = tuple(j for j, z in enumerate(spectrum.values)
-                      if strictly_greater(z.real, center_f))
+                      if threshold_side(z.real, center_f) > 0)
         b_idx = tuple(j for j, z in enumerate(spectrum.values)
-                      if strictly_greater(z.real, float(ratio)))
+                      if threshold_side(z.real, float(ratio)) > 0)
         entries.append((ratio, pos, ComponentData(
             n=comp_facts.n, sigma=comp_facts.sigma, ratio=ratio,
             spectrum=spectrum, energy=report.energy,
@@ -154,36 +147,31 @@ def _ratio_inequality(analysis: ComponentAnalysis, use_b: bool) -> tuple[Fractio
     return lhs, rhs
 
 
-# Energy differences inside this band (after the exact-root refinement)
-# cannot be signed reliably; implications are not enforced there.
-_ENERGY_CERTAINTY = 1e-9
-
-
-def _energy_difference(facts) -> tuple[float, float, float]:
-    """(E, sum E(D_i), certainty scale).
-
-    When the difference is small the energies are recomputed from the
-    roots of the exact characteristic polynomials, which are accurate to
-    ~1e-12 even at defective eigenvalues.
-    """
-    total = facts.energy_value(False)
-    parts = math.fsum(f.energy_value(False) for f in facts.component_facts)
-    scale = max(1.0, abs(parts))
-    if abs(total - parts) <= 1e-6 * scale:
-        total = facts.energy_value(True)
-        parts = math.fsum(f.energy_value(True) for f in facts.component_facts)
-        scale = max(1.0, abs(parts))
-    return total, parts, scale
-
-
-def _vacuous(status: ImplicationStatus) -> ImplicationRecord:
-    return ImplicationRecord(
-        status=status,
-        antecedent_lhs=None, antecedent_rhs=None,
-        antecedent_holds=False, antecedent_strict=False,
-        consequent_lhs=None, consequent_rhs=None,
-        consequent_holds=False, consequent_strict=False,
-        implication_ok=True)
+def _implication(facts, energy_antecedent: bool) -> ImplicationRecord:
+    """The implication between the A-set inequality and E <= sum E(D_i),
+    or between E <= sum E(D_i) and the B-set inequality.  Close energies
+    are recomputed from the roots of the exact characteristic polynomials,
+    which are accurate to ~1e-12 even at defective eigenvalues."""
+    analysis = facts.analysis
+    if analysis.k == 1:
+        return ImplicationRecord(ImplicationStatus.NOT_APPLICABLE,
+                                 *(None, None, False, False) * 2, True)
+    status = ImplicationStatus.APPLIED if analysis.l else ImplicationStatus.DEGENERATE
+    total, parts = recheck(
+        lambda verified: (facts.energy_value(verified),
+                          math.fsum(f.energy_value(verified) for f in facts.component_facts)),
+        ENERGY_RECHECK_BAND)
+    _, holds, _, strict, violated = slack_verdict(total, parts, ENERGY_CERTAINTY)
+    energy = (total, parts, holds, strict)
+    ratio_lhs, ratio_rhs = _ratio_inequality(analysis, use_b=energy_antecedent)
+    ratio_holds, ratio_strict = ratio_lhs <= ratio_rhs, ratio_lhs < ratio_rhs
+    ratio = (float(ratio_lhs), float(ratio_rhs), ratio_holds, ratio_strict)
+    if energy_antecedent:
+        return ImplicationRecord(status, *energy, *ratio, not strict or ratio_strict)
+    # A holding antecedent fails only on a certainly violated energy
+    # inequality, never on a rounding artifact.
+    ok = (not ratio_holds or not violated) and (not ratio_strict or strict)
+    return ImplicationRecord(status, *ratio, *energy, ok)
 
 
 def sufficient_condition(d: FactsLike) -> ImplicationRecord:
@@ -196,28 +184,7 @@ def sufficient_condition(d: FactsLike) -> ImplicationRecord:
     ``implication_ok`` fails only when the float consequent is violated by
     more than the certainty margin, never on a rounding artifact.
     """
-    facts = as_facts(d)
-    analysis = facts.analysis
-    if analysis.k == 1:
-        return _vacuous(ImplicationStatus.NOT_APPLICABLE)
-    status = ImplicationStatus.APPLIED if analysis.l else ImplicationStatus.DEGENERATE
-    ant_lhs, ant_rhs = _ratio_inequality(analysis, use_b=False)
-    ant_holds = ant_lhs <= ant_rhs
-    ant_strict = ant_lhs < ant_rhs
-    total, parts, scale = _energy_difference(facts)
-    diff = total - parts
-    margin = _ENERGY_CERTAINTY * scale
-    cons_holds = diff <= margin
-    cons_strict = diff <= -margin
-    ok = ((not ant_holds or diff < margin)       # certainly-violated <= fails
-          and (not ant_strict or cons_strict))   # strictness must survive
-    return ImplicationRecord(
-        status=status,
-        antecedent_lhs=float(ant_lhs), antecedent_rhs=float(ant_rhs),
-        antecedent_holds=ant_holds, antecedent_strict=ant_strict,
-        consequent_lhs=total, consequent_rhs=parts,
-        consequent_holds=cons_holds, consequent_strict=cons_strict,
-        implication_ok=ok)
+    return _implication(as_facts(d), energy_antecedent=False)
 
 
 def necessary_condition(d: FactsLike) -> ImplicationRecord:
@@ -229,32 +196,7 @@ def necessary_condition(d: FactsLike) -> ImplicationRecord:
     genuinely ambiguous equality never produces a spurious failure.  The
     consequent is exact rational.
     """
-    facts = as_facts(d)
-    analysis = facts.analysis
-    if analysis.k == 1:
-        return _vacuous(ImplicationStatus.NOT_APPLICABLE)
-    status = ImplicationStatus.APPLIED if analysis.l else ImplicationStatus.DEGENERATE
-    total, parts, scale = _energy_difference(facts)
-    diff = total - parts
-    margin = _ENERGY_CERTAINTY * scale
-    ant_holds = diff <= margin
-    ant_strict = diff <= -margin
-    cons_lhs, cons_rhs = _ratio_inequality(analysis, use_b=True)
-    cons_holds = cons_lhs <= cons_rhs
-    cons_strict = cons_lhs < cons_rhs
-    # Enforce only on a certainly-established antecedent: a strict energy
-    # drop demands a strict B-inequality, anything within the uncertainty
-    # band demands nothing.
-    ok = not ant_strict or cons_strict
-    if diff <= -margin:
-        ok = ok and cons_holds
-    return ImplicationRecord(
-        status=status,
-        antecedent_lhs=total, antecedent_rhs=parts,
-        antecedent_holds=ant_holds, antecedent_strict=ant_strict,
-        consequent_lhs=float(cons_lhs), consequent_rhs=float(cons_rhs),
-        consequent_holds=cons_holds, consequent_strict=cons_strict,
-        implication_ok=ok)
+    return _implication(as_facts(d), energy_antecedent=True)
 
 
 def ab_remark_check(d: FactsLike) -> bool:

@@ -31,6 +31,10 @@ class NotRegular(LoopspecError):
     """The operation requires an in/out regular digraph."""
 
 
+class BadTolerance(LoopspecError, ValueError):
+    """LOOPSPEC_TOL is not a finite positive number."""
+
+
 class OrderTooSmall(LoopspecError):
     """The bound is only defined for n >= 2."""
 

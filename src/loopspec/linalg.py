@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import LoopspecError, NoConvergence, SizeLimit
 from .graphs import Digraph
-from .tolerances import EIGEN_RESIDUAL_TOL, ROOT_RESIDUAL_TOL
 
 # Computed eigenvalues within CLUSTER_RTOL * max(1, ||A||_F) of each other
 # (single linkage) may be one multiple eigenvalue that QR split.  A split of
@@ -53,6 +52,11 @@ from .tolerances import EIGEN_RESIDUAL_TOL, ROOT_RESIDUAL_TOL
 # precision, only if it lies within SPLIT_SPREAD * scale * eps**(1/k) of it.
 CLUSTER_RTOL = 1e-3
 SPLIT_SPREAD = 16.0
+
+# Backward-error contracts: eigenvalue residuals below EIGEN_RESIDUAL_TOL *
+# max(1, ||A||_F), root residuals below ROOT_RESIDUAL_TOL, relative.
+EIGEN_RESIDUAL_TOL = 1e-10
+ROOT_RESIDUAL_TOL = 1e-9
 
 MAX_EXACT_ORDER = 64
 MAX_ENUMERATION_ORDER = 8

@@ -22,8 +22,8 @@ from .graphs import (Digraph, complement, count_two_cycles, delta_sigma,
                      is_acyclic, regularity)
 from .linalg import (CharPoly, Spectrum, adjacency, char_poly_exact, eigenvalues,
                      poly_roots)
-from .tolerances import (SPECTRUM_MATCH_TOL, TRACE_TOL, at_least, at_most,
-                         strictly_greater)
+from .tolerances import (SPECTRUM_MATCH_TOL, TRACE_TOL, ZERO_ENERGY_TOL, agrees,
+                         perron_attained, threshold_side)
 
 if TYPE_CHECKING:
     from .decomposition import ComponentAnalysis
@@ -203,7 +203,7 @@ def energy_positive_part(d: FactsLike) -> float:
     facts = as_facts(d)
     c = float(facts.center)
     return 2.0 * math.fsum(
-        z.real - c for z in facts.spectrum.values if strictly_greater(z.real, c)
+        z.real - c for z in facts.spectrum.values if threshold_side(z.real, c) > 0
     )
 
 
@@ -216,9 +216,7 @@ def spectral_radius(d: FactsLike) -> float:
     facts = as_facts(d)
     values = facts.spectrum.values
     rho = max(abs(z) for z in values)
-    tol = 1e-8
-    if not any(abs(abs(z) - rho) <= tol and abs(z.imag) <= tol and z.real >= -tol
-               for z in values):
+    if not perron_attained(values, rho):
         raise CounterexampleError(
             f"spectral radius {rho} not attained by a nonnegative real "
             f"eigenvalue in {values}", graph=facts.d)
@@ -239,11 +237,11 @@ def trace_identities(d: FactsLike) -> TraceIdentityReport:
     sum_sq = sum(z * z for z in values)
     re_im = math.fsum(z.real * z.real - z.imag * z.imag for z in values)
     expected_sq = facts.c2 + facts.sigma
-    imag_ok = abs(math.fsum(z.imag for z in values)) <= tol
+    imag_ok = agrees(math.fsum(z.imag for z in values), 0.0, tol)
     return TraceIdentityReport(
-        sum_ok=abs(eigen_sum - facts.sigma) <= tol and imag_ok,
-        sumsq_ok=abs(sum_sq.real - expected_sq) <= tol and abs(sum_sq.imag) <= tol,
-        re_im_ok=abs(re_im - expected_sq) <= tol,
+        sum_ok=agrees(eigen_sum, facts.sigma, tol) and imag_ok,
+        sumsq_ok=agrees(sum_sq.real, expected_sq, tol) and agrees(sum_sq.imag, 0.0, tol),
+        re_im_ok=agrees(re_im, expected_sq, tol),
         eigen_sum=eigen_sum,
         eigen_sum_sq=sum_sq.real,
         re_im_diff=re_im - expected_sq,
@@ -266,7 +264,7 @@ def complement_spectrum_regular(d: FactsLike) -> Spectrum:
     delta = delta_sigma(facts.d)
     values = list(facts.spectrum.values)
     perron = min(range(len(values)), key=lambda i: abs(values[i] - r))
-    if abs(values[perron] - r) > SPECTRUM_MATCH_TOL:
+    if not agrees(values[perron], r, SPECTRUM_MATCH_TOL):
         raise CounterexampleError(
             f"regular digraph of degree {r} lacks eigenvalue r", graph=facts.d)
     values.pop(perron)
@@ -295,14 +293,14 @@ def regular_energy_sum(d: FactsLike) -> float:
     s3_nonpos: list[float] = []
     for z in facts.spectrum.values:
         x = z.real
-        if at_least(x, center):
+        if threshold_side(x, center) >= 0:
             s1.append(x)
-        elif strictly_greater(x, -center):
-            if at_most(x + shift, 0.0):
+        elif threshold_side(x, -center) > 0:
+            if threshold_side(x + shift, 0.0) <= 0:
                 s2_nonpos.append(x)
         else:
             s3.append(x)
-            if at_most(x + shift, 0.0):
+            if threshold_side(x + shift, 0.0) <= 0:
                 s3_nonpos.append(x)
     if 2 * sigma >= n:
         spread = math.fsum(abs(x) for x in s1 + s2_nonpos + s3)
@@ -325,7 +323,7 @@ def zero_energy_check(d: FactsLike) -> bool:
     digraphs with no loops or with a loop at every vertex.
     """
     facts = as_facts(d)
-    is_zero = facts.energy_value() <= 1e-7
+    is_zero = agrees(facts.energy_value(), 0.0, ZERO_ENERGY_TOL)
     expected = is_acyclic(facts.d) and facts.sigma in (0, facts.n)
     if is_zero != expected:
         raise CounterexampleError(

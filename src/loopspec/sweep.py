@@ -58,10 +58,10 @@ from .errors import CounterexampleError, LoopspecError, OrderTooSmall, SizeLimit
 from .formats import to_json_dict
 from .graphs import Digraph, complement, degrees
 from .linalg import (MAX_ENUMERATION_ORDER, char_poly_exact_many, charpoly_product,
-                     eigenvalues_many, linear_subdigraph_charpoly,
-                     matching_distance, poly_roots_many)
+                     eigenvalues_many, linear_subdigraph_charpoly, poly_roots_many)
 from .spectral import GraphFacts
-from .tolerances import SPECTRUM_MATCH_TOL, TRACE_TOL, equality_tol
+from .tolerances import (CLOSED_FORM_RTOL, TRACE_TOL, agrees, equality_tol, scaled,
+                         spectra_match)
 
 MAX_EXHAUSTIVE_ORDER = 5
 
@@ -240,10 +240,9 @@ def check_ab_remark(facts: GraphFacts) -> CheckOutcome:
 def check_regular_complement_spectrum(facts: GraphFacts) -> CheckOutcome:
     if facts.regularity is None:
         return CheckOutcome("na", "not regular")
-    mapped = spectral.complement_spectrum_regular(facts)
-    direct = facts.complement_facts.spectrum
-    dist = matching_distance(mapped, direct)
-    if dist > SPECTRUM_MATCH_TOL:
+    match, dist = spectra_match(spectral.complement_spectrum_regular(facts),
+                                facts.complement_facts.spectrum)
+    if not match:
         return CheckOutcome("fail", f"complement spectrum map off by {dist:.3e}")
     return CheckOutcome("pass")
 
@@ -253,14 +252,14 @@ def check_regular_energy_sum(facts: GraphFacts) -> CheckOutcome:
         return CheckOutcome("na", "not regular")
     closed = spectral.regular_energy_sum(facts)
     direct = facts.energy_value() + facts.complement_facts.energy_value()
-    if abs(closed - direct) > 1e-7 * max(1.0, abs(direct)):
+    if not agrees(closed, direct, scaled(CLOSED_FORM_RTOL, direct)):
         return CheckOutcome("fail", f"closed form {closed} vs direct {direct}")
     return CheckOutcome("pass")
 
 
 def check_oracle_roots(facts: GraphFacts) -> CheckOutcome:
-    dist = matching_distance(facts.spectrum, facts.verified_spectrum)
-    if dist > SPECTRUM_MATCH_TOL:
+    match, dist = spectra_match(facts.spectrum, facts.verified_spectrum)
+    if not match:
         return CheckOutcome("fail", f"QR vs charpoly roots off by {dist:.3e}")
     return CheckOutcome("pass")
 
@@ -284,7 +283,7 @@ def check_perron(facts: GraphFacts) -> CheckOutcome:
 def check_energy_positive_part(facts: GraphFacts) -> CheckOutcome:
     direct = facts.energy_value()
     doubled = spectral.energy_positive_part(facts)
-    if abs(direct - doubled) > TRACE_TOL * facts.n:
+    if not agrees(direct, doubled, TRACE_TOL * facts.n):
         return CheckOutcome("fail", f"energy {direct} vs positive part {doubled}")
     return CheckOutcome("pass")
 
@@ -295,7 +294,7 @@ def check_loop_shift(facts: GraphFacts) -> CheckOutcome:
     if facts.sigma != facts.n:
         return CheckOutcome("na", "needs sigma = n")
     bare = GraphFacts(facts.d.loopless(), with_residuals=facts.with_residuals)
-    if abs(facts.energy_value() - bare.energy_value()) > TRACE_TOL * facts.n:
+    if not agrees(facts.energy_value(), bare.energy_value(), TRACE_TOL * facts.n):
         return CheckOutcome("fail", "full-loop energy differs from loopless energy")
     return CheckOutcome("pass")
 

@@ -237,8 +237,9 @@ class TestToleranceOverride:
         loose = rho_lower(k2_plus)
         assert loose.equality
 
-    def test_invalid_value_rejected(self, monkeypatch, k2_plus):
-        monkeypatch.setenv("LOOPSPEC_TOL", "-1")
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "0", "abc"])
+    def test_invalid_value_rejected(self, value, monkeypatch, k2_plus):
+        monkeypatch.setenv("LOOPSPEC_TOL", value)
         with pytest.raises(ValueError):
             rho_lower(k2_plus)
 

@@ -89,6 +89,12 @@ class TestBoundsCommand:
         payload = json.loads(out)["payload"]
         assert [c["bound_id"] for c in payload["certificates"]] == ["mcclelland"]
 
+    def test_nan_tolerance_exits_with_one_line(self, capsys, monkeypatch, fig_file):
+        monkeypatch.setenv("LOOPSPEC_TOL", "nan")
+        code, out, err = run(capsys, "bounds", fig_file)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: LOOPSPEC_TOL") and err.count("\n") == 1
+
     def test_unknown_bound(self, capsys, fig_file):
         code, _, err = run(capsys, "bounds", fig_file, "--only", "nope")
         assert code == 1

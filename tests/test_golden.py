@@ -18,10 +18,14 @@ import json
 
 import pytest
 
-from loopspec import new_digraph
+from loopspec import decomposition, new_digraph, spectral
+from loopspec.bounds import all_certificates
 from loopspec.cli import main
+from loopspec.errors import CounterexampleError, NotRegular
 from loopspec.formats import dumps_json
-from loopspec.sweep import random_digraph, sweep
+from loopspec.spectral import GraphFacts
+from loopspec.sweep import (THEOREM_CHECKS, digraph_from_bits, orbit_classes,
+                            random_digraph, sweep)
 from test_acceptance import CRITERION_3_CHECKS
 
 CENSUS_CHECKS = ["mcclelland", "rho_lower"]
@@ -146,3 +150,54 @@ def test_cli_stdout(graph, command, request, tmp_path, capsys, monkeypatch):
     path.write_text(dumps_json(request.getfixturevalue(graph)))
     assert main([command, str(path)]) == 0
     assert _digest(capsys.readouterr().out) == CLI[graph, command]
+
+
+def _decisions(n: int) -> str:
+    """Every decision the layers take on each class of order n, one line
+    per class: certificate flags and witnesses, both implication records,
+    the A and B index sets, the trace flags, the positive part and the
+    closed-form energy sum, the zero-energy outcome and the status of
+    every theorem check."""
+    lines = []
+    for mask in orbit_classes(n)[0]:
+        facts = GraphFacts(digraph_from_bits(n, mask), with_residuals=False)
+        trace = spectral.trace_identities(facts)
+        try:
+            closed = format(spectral.regular_energy_sum(facts), ".12g")
+        except NotRegular:
+            closed = "na"
+        try:
+            zero = spectral.zero_energy_check(facts)
+        except CounterexampleError as exc:
+            zero = str(exc)
+        statuses = []
+        for name, check in THEOREM_CHECKS.items():
+            try:
+                statuses.append(check(facts).status)
+            except CounterexampleError:
+                statuses.append("raised")
+        lines.append(json.dumps([
+            mask,
+            [[c.bound_id, c.holds, c.equality, c.witness]
+             for c in all_certificates(facts)],
+            decomposition.sufficient_condition(facts).to_json_dict(),
+            decomposition.necessary_condition(facts).to_json_dict(),
+            [[c.a_indices, c.b_indices] for c in facts.analysis.components],
+            [trace.sum_ok, trace.sumsq_ok, trace.re_im_ok],
+            format(spectral.energy_positive_part(facts), ".12g"),
+            closed, zero, statuses,
+        ], sort_keys=True))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("tol, orders, expected", [
+    (None, range(1, 5),
+     "a9da690b82528b2c030c6b9c900cc79a4072cd8cee9b16e05008bf74956c7180"),
+    # A tolerance of 0.05 puts many certificates inside the re-check band.
+    ("0.05", range(1, 4),
+     "09eeff1b9b790274eaa719e2f11367463ccb197ec3ce940464e8311bf581e06a"),
+])
+def test_decisions_per_class(tol, orders, expected, monkeypatch):
+    if tol is not None:
+        monkeypatch.setenv("LOOPSPEC_TOL", tol)
+    assert _digest("\n".join(_decisions(n) for n in orders)) == expected
