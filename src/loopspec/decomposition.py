@@ -10,8 +10,9 @@ not agree.  This module computes both, the threshold sets
 and the two implication theorems relating the set-weighted loop-ratio
 inequalities to E <= sum E(D_i).  Components are reordered so those with
 sigma_i/n_i above the global ratio come first; the reordering permutation
-is recorded.  All ratio arithmetic is exact rational, so the antecedent of
-the first theorem and the consequent of the second are decided exactly.
+is recorded.  All ratio arithmetic is exact, in integers over one common
+denominator, so the antecedent of the first theorem and the consequent of
+the second are decided exactly.
 The threshold sets and the energy comparison go through ``tolerances``,
 which holds their margins and the exact-root re-check rule.
 """
@@ -133,18 +134,21 @@ def analyze(d: FactsLike) -> ComponentAnalysis:
     )
 
 
-def _ratio_inequality(analysis: ComponentAnalysis, use_b: bool) -> tuple[Fraction, Fraction]:
+def _ratio_inequality(analysis: ComponentAnalysis, use_b: bool) -> tuple[int, int, int]:
     """Exact sides of sum_{i<=l} (ratio_i - center) |S_i| <=
-    sum_{i>l} (center - ratio_i) |S_i| with S in {A, B}."""
-    lhs = Fraction(0)
-    rhs = Fraction(0)
+    sum_{i>l} (center - ratio_i) |S_i| with S in {A, B}, as integers over
+    one common denominator of the center and every ratio, returned third."""
+    denom = math.lcm(analysis.center.denominator, *(c.n for c in analysis.components))
+    center = analysis.center.numerator * (denom // analysis.center.denominator)
+    lhs = rhs = 0
     for i, c in enumerate(analysis.components):
         size = len(c.b_indices if use_b else c.a_indices)
+        gap = c.sigma * (denom // c.n) - center
         if i < analysis.l:
-            lhs += (c.ratio - analysis.center) * size
+            lhs += gap * size
         else:
-            rhs += (analysis.center - c.ratio) * size
-    return lhs, rhs
+            rhs -= gap * size
+    return lhs, rhs, denom
 
 
 def _implication(facts, energy_antecedent: bool) -> ImplicationRecord:
@@ -163,9 +167,10 @@ def _implication(facts, energy_antecedent: bool) -> ImplicationRecord:
         ENERGY_RECHECK_BAND)
     _, holds, _, strict, violated = slack_verdict(total, parts, ENERGY_CERTAINTY)
     energy = (total, parts, holds, strict)
-    ratio_lhs, ratio_rhs = _ratio_inequality(analysis, use_b=energy_antecedent)
+    ratio_lhs, ratio_rhs, denom = _ratio_inequality(analysis, use_b=energy_antecedent)
     ratio_holds, ratio_strict = ratio_lhs <= ratio_rhs, ratio_lhs < ratio_rhs
-    ratio = (float(ratio_lhs), float(ratio_rhs), ratio_holds, ratio_strict)
+    # int / int rounds correctly, as float(Fraction) does.
+    ratio = (ratio_lhs / denom, ratio_rhs / denom, ratio_holds, ratio_strict)
     if energy_antecedent:
         return ImplicationRecord(status, *energy, *ratio, not strict or ratio_strict)
     # A holding antecedent fails only on a certainly violated energy
@@ -201,8 +206,8 @@ def necessary_condition(d: FactsLike) -> ImplicationRecord:
 
 def ab_remark_check(d: FactsLike) -> bool:
     """The A-set form of the signed ratio expression dominates the B-set
-    form; exact rational comparison."""
+    form; exact comparison over one common denominator."""
     analysis = as_facts(d).analysis
-    a_lhs, a_rhs = _ratio_inequality(analysis, use_b=False)
-    b_lhs, b_rhs = _ratio_inequality(analysis, use_b=True)
+    a_lhs, a_rhs, _ = _ratio_inequality(analysis, use_b=False)
+    b_lhs, b_rhs, _ = _ratio_inequality(analysis, use_b=True)
     return (a_lhs - a_rhs) >= (b_lhs - b_rhs)

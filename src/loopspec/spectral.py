@@ -5,7 +5,11 @@ parts from sigma/n, the mean diagonal entry.  ``GraphFacts`` memoizes the
 derived data (spectrum, strong components, complement, exact polynomial,
 component analysis) that several consumers would otherwise recompute, once
 per distinct matrix: a strongly connected graph is its own component, and
-a graph whose arcs all lie on cycles is its own pruned form.
+a graph whose arcs all lie on cycles is its own pruned form.  Facts share
+one table with the facts of their strong components (and of any other
+graph reached through ``derived``), which the table keeps by exact
+labeled digraph, up to order 4: many graphs that share a small component
+then analyse it once.  A sweep keeps one table per chunk of graphs.
 """
 
 from __future__ import annotations
@@ -51,6 +55,13 @@ class TraceIdentityReport:
     expected_sum_sq: int
 
 
+# Order of the largest derived graph a facts table keeps.  There are 2**16
+# labeled digraphs of order 4, and a chunk of graphs repeats them often;
+# a larger component or loopless form is all but never met twice, so
+# keeping its facts would only hold memory.
+_TABLE_MAX_ORDER = 4
+
+
 class GraphFacts:
     """Lazily computed, cached analysis data for one digraph.
 
@@ -58,13 +69,31 @@ class GraphFacts:
     to share.  ``with_residuals=False`` skips eigenvalue backward-error
     estimates, which bulk sweeps do not need.  ``known`` presets cached
     fields (``spectrum``, ``charpoly``, ``verified_spectrum``) computed
-    elsewhere, as a sweep computes them for a chunk of graphs at once.
+    elsewhere, as a sweep computes them for a chunk of graphs at once;
+    ``complement`` presets those of ``complement_facts`` in the same way.
+    ``table`` maps digraphs to the facts that ``derived`` returns for
+    them; without one, the facts start a table of their own.
     """
 
-    def __init__(self, d: Digraph, *, with_residuals: bool = False, **known):
+    def __init__(self, d: Digraph, *, with_residuals: bool = False,
+                 table: dict[Digraph, "GraphFacts"] | None = None,
+                 complement: dict | None = None, **known):
         self.d = d
         self.with_residuals = with_residuals
+        self.table = {} if table is None else table
+        self.complement_known = complement or {}
         self.__dict__.update(known)
+
+    def derived(self, d: Digraph) -> "GraphFacts":
+        """Facts of a graph derived from this one: the table's entry for
+        ``d``, made on the first request and kept if ``d`` has at most
+        _TABLE_MAX_ORDER vertices."""
+        facts = self.table.get(d)
+        if facts is None:
+            facts = GraphFacts(d, with_residuals=self.with_residuals, table=self.table)
+            if d.n <= _TABLE_MAX_ORDER:
+                self.table[d] = facts
+        return facts
 
     @property
     def n(self) -> int:
@@ -120,8 +149,7 @@ class GraphFacts:
         graph is its own single component."""
         if self.partition.k == 1:
             return [self]
-        return [GraphFacts(c, with_residuals=self.with_residuals)
-                for c in self.components]
+        return [self.derived(c) for c in self.components]
 
     @cached_property
     def pruned(self) -> Digraph:
@@ -141,8 +169,8 @@ class GraphFacts:
 
     @cached_property
     def complement_facts(self) -> "GraphFacts":
-        return GraphFacts(self.complement_digraph,
-                          with_residuals=self.with_residuals)
+        return GraphFacts(self.complement_digraph, with_residuals=self.with_residuals,
+                          table=self.table, **self.complement_known)
 
     @cached_property
     def regularity(self):

@@ -24,12 +24,19 @@ pass without running, and a graph whose selected checks are all decided
 builds no facts at all.  The graphs that such a check leaves undecided,
 which are the ones whose certificates may ask for exact roots, get their
 exact charpolys and roots from one batch call per stack; so does every
-graph when a selected check reads them on every graph.  Each graph's
-``GraphFacts`` starts with these fields filled.  Everything else a check
-reads (complement, components) stays lazy.  A graph whose batch row
-fails gets the field unfilled, so its own lazy call raises at the same
-point of the check order as it would alone, and only if the sweep
-reaches it.
+graph when a selected check reads them on every graph.  When a selected
+check reads the complement's spectrum on every graph, the stack of
+complements gets its spectra from one more stacked call.  Each graph's ``GraphFacts`` starts
+with these fields filled, and a complement's with its spectrum.  A graph
+whose batch row fails gets the field unfilled, so its own lazy call
+raises at the same point of the check order as it would alone, and only
+if the sweep reaches it.
+
+The graphs of a chunk share one facts table (see ``spectral``), keyed by
+the exact labeled digraph: each distinct strong component of order 4 or
+less, and each such loopless form that the loop-shift check compares
+with, is analysed once per chunk, however many graphs contain it.  The table lives as long as
+its chunk, so every chunk, in whatever process, computes the same values.
 
 A failed check is a counterexample to a published statement; the sweep
 stops, serializes the witness graph, and the report carries it.  A sweep
@@ -293,7 +300,7 @@ def check_loop_shift(facts: GraphFacts) -> CheckOutcome:
     (the no-loop half of the statement is vacuous)."""
     if facts.sigma != facts.n:
         return CheckOutcome("na", "needs sigma = n")
-    bare = GraphFacts(facts.d.loopless(), with_residuals=facts.with_residuals)
+    bare = facts.derived(facts.d.loopless())
     if not agrees(facts.energy_value(), bare.energy_value(), TRACE_TOL * facts.n):
         return CheckOutcome("fail", "full-loop energy differs from loopless energy")
     return CheckOutcome("pass")
@@ -353,7 +360,7 @@ def _census_signature(facts: GraphFacts) -> str:
                        "charpoly": list(facts.charpoly.coeffs)})
 
 
-@dataclass
+@dataclass(slots=True)
 class _Tally:
     passed: int = 0
     failed: int = 0
@@ -445,14 +452,15 @@ def census_findings(report: SweepReport) -> list[dict]:
 
 
 def _check_graph(report: SweepReport, mask: int, theorems: list[str],
-                 weight: int, known: dict, decided: frozenset[str]) -> bool:
+                 weight: int, known: dict, decided: frozenset[str], table: dict) -> bool:
     """Run the selected checks on the graph with bit pattern ``mask``, which
     stands for ``weight`` labeled graphs, with the ``GraphFacts`` fields
-    ``known`` already computed; returns False when a counterexample stops
-    the sweep.  A check in ``decided`` is known to pass without equality
-    and is tallied without running; the graph's facts are built only when
-    a check runs.  Each equality certificate adds a census entry; the merge
-    keeps the first one per signature."""
+    ``known`` already computed and the chunk's facts ``table``; returns
+    False when a counterexample stops the sweep.  A check in
+    ``decided`` is known to pass without equality and is tallied without
+    running; the graph's facts are built only when a check runs.  Each
+    equality certificate adds a census entry; the merge keeps the first
+    one per signature."""
     report.graphs_checked += weight
     facts = None
     signature = None
@@ -463,7 +471,7 @@ def _check_graph(report: SweepReport, mask: int, theorems: list[str],
             continue
         if facts is None:
             facts = GraphFacts(digraph_from_bits(report.n, mask), with_residuals=False,
-                               **known)
+                               table=table, **known)
         try:
             outcome = THEOREM_CHECKS[name](facts)
         except CounterexampleError as exc:
@@ -507,9 +515,13 @@ def _adjacency_stack(n: int, masks: Sequence[int]) -> np.ndarray:
                          bitorder="little").reshape(len(masks), n, n)
 
 
-# Checks that read the exact charpoly, and its roots, of every graph.
+# Checks that read the exact charpoly, its roots, and the complement's
+# spectrum, of every graph.  The regular-complement checks read the
+# complement's spectrum of regular graphs only, so they get the preset
+# when another check has the stack built, and compute their own otherwise.
 _READ_CHARPOLY = frozenset({"charpoly_invariance", "oracle_charpoly", "oracle_roots"})
 _READ_ROOTS = frozenset({"oracle_roots"})
+_READ_COMPLEMENT = frozenset({"complement_rho_sum", "complement_energy_sum"})
 _STACK = 256   # graphs per stack of the batch stage; bounds the memory it holds
 
 
@@ -523,9 +535,11 @@ def _batch_facts(n: int, masks: Sequence[int],
     the certificate checks it can from them.  A graph that some such check
     leaves undecided gets its exact charpoly and roots, which that
     check's re-check may read; so does every graph when a selected check
-    reads them on every graph.  A graph whose computation fails gets no
-    field, so that its own lazy call raises the error at the point of the
-    check order where it always did."""
+    reads them on every graph.  When a selected check reads the
+    complement's spectrum on every graph, every graph gets it as
+    ``complement``, the preset of its complement's facts.  A graph whose computation fails
+    gets no field, so that its own lazy call raises the error at the point
+    of the check order where it always did."""
     reads = set(theorems)
     if n > MAX_ENUMERATION_ORDER:
         reads.discard("oracle_charpoly")   # "na" on every graph: it reads nothing
@@ -535,6 +549,11 @@ def _batch_facts(n: int, masks: Sequence[int],
         adj = _adjacency_stack(n, masks[lo:lo + _STACK])
         spectra = eigenvalues_many(adj, with_residuals=False)
         known = [{} if isinstance(s, LoopspecError) else {"spectrum": s} for s in spectra]
+        if _READ_COMPLEMENT.intersection(reads):
+            for row, s in zip(known, eigenvalues_many(_complement_stack(adj),
+                                                      with_residuals=False)):
+                if not isinstance(s, LoopspecError):
+                    row["complement"] = {"spectrum": s}
         decided = [frozenset()] * len(adj)
         columns = []
         if certified:
@@ -548,6 +567,16 @@ def _batch_facts(n: int, masks: Sequence[int],
         _preset_exact(adj, known, every if _READ_CHARPOLY.intersection(reads) else undecided,
                       every if _READ_ROOTS.intersection(reads) else undecided)
         yield from zip(decided, known)
+
+
+def _complement_stack(adj: np.ndarray) -> np.ndarray:
+    """The adjacency matrices of the complements of a 0/1 stack, as
+    ``graphs.complement`` makes them: J - A, or J - I - A for a matrix
+    with no loop."""
+    comp = 1 - adj
+    diagonal = np.einsum("kii->ki", comp)   # a writable view
+    diagonal[adj.trace(axis1=1, axis2=2) == 0] = 0
+    return comp
 
 
 def _preset_exact(adj: np.ndarray, known: list[dict], charpoly_rows: Sequence[int],
@@ -574,9 +603,10 @@ def _run_chunk(args: tuple) -> SweepReport:
     first counterexample."""
     n, masks, weights, theorems = args
     report = _new_report(n, "", theorems, {})
+    table: dict = {}
     for mask, weight, (decided, known) in zip(masks, weights,
                                               _batch_facts(n, masks, theorems)):
-        if not _check_graph(report, mask, theorems, weight, known, decided):
+        if not _check_graph(report, mask, theorems, weight, known, decided, table):
             break
     return report
 

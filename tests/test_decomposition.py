@@ -7,10 +7,10 @@ import pytest
 from loopspec import (ab_remark_check, analyze, disjoint_union,
                       matching_distance, necessary_condition,
                       prune_non_cycle_arcs, sufficient_condition)
-from loopspec.decomposition import ImplicationStatus
+from loopspec.decomposition import ImplicationStatus, _ratio_inequality
 from loopspec.linalg import digraph_spectrum
 from loopspec.spectral import GraphFacts
-from loopspec.sweep import iterate_all
+from loopspec.sweep import digraph_from_bits, iterate_all, orbit_classes
 
 
 class TestAnalyze:
@@ -121,6 +121,55 @@ class TestAbRemark:
     def test_exhaustive_n3(self):
         for d in iterate_all(3):
             assert ab_remark_check(GraphFacts(d))
+
+
+def _fraction_sides(analysis, use_b):
+    """The ratio inequality's sides in Fractions, as the module once
+    computed them."""
+    lhs = rhs = Fraction(0)
+    for i, c in enumerate(analysis.components):
+        size = len(c.b_indices if use_b else c.a_indices)
+        if i < analysis.l:
+            lhs += (c.ratio - analysis.center) * size
+        else:
+            rhs += (analysis.center - c.ratio) * size
+    return lhs, rhs
+
+
+class TestRatioSides:
+    def test_integer_sides_match_fractions_on_every_class_to_n4(self):
+        # The integer sides over their common denominator equal the
+        # Fraction sides exactly, report the same floats to the bit, and
+        # give ab_remark_check the same outcome.
+        applied = 0
+        for n in range(1, 5):
+            table = {}
+            for mask in orbit_classes(n)[0]:
+                facts = GraphFacts(digraph_from_bits(n, mask), table=table)
+                analysis = facts.analysis
+                sides = {}
+                for use_b in (False, True):
+                    lhs, rhs, denom = _ratio_inequality(analysis, use_b)
+                    reference = _fraction_sides(analysis, use_b)
+                    assert (Fraction(lhs, denom), Fraction(rhs, denom)) == reference
+                    assert (lhs / denom, rhs / denom) == tuple(map(float, reference))
+                    sides[use_b] = reference
+                (a_lhs, a_rhs), (b_lhs, b_rhs) = sides[False], sides[True]
+                assert ab_remark_check(facts) == (a_lhs - a_rhs >= b_lhs - b_rhs)
+                if analysis.k == 1:
+                    continue
+                applied += 1
+                record = sufficient_condition(facts)
+                assert (record.antecedent_lhs, record.antecedent_rhs) == (
+                    float(a_lhs), float(a_rhs))
+                assert (record.antecedent_holds, record.antecedent_strict) == (
+                    a_lhs <= a_rhs, a_lhs < a_rhs)
+                record = necessary_condition(facts)
+                assert (record.consequent_lhs, record.consequent_rhs) == (
+                    float(b_lhs), float(b_rhs))
+                assert (record.consequent_holds, record.consequent_strict) == (
+                    b_lhs <= b_rhs, b_lhs < b_rhs)
+        assert applied > 1000
 
 
 class TestSetContainments:

@@ -301,9 +301,10 @@ class TestSharedWork:
         # Two graphs in one chunk: their spectra come from one stacked
         # call, and the exact charpolys and roots only with oracle_roots,
         # or on a graph whose certificate check the arrays leave open.
-        # A loop with an arc (0b0011) clears every such bound, so in the
-        # census it gets no charpoly; the loopless digon (0b0110) attains
-        # every one.
+        # The complements' spectra come from one more stacked call exactly
+        # when a selected check reads them on every graph.  A loop with an arc (0b0011)
+        # clears every such bound, so in the census it gets no charpoly;
+        # the loopless digon (0b0110) attains every one.
         stacks = collections.Counter()
 
         def counted(name):
@@ -331,12 +332,21 @@ class TestSharedWork:
         assert batch(["charpoly_invariance"]) == [([], ["charpoly", "spectrum"])] * 2
         assert stacks == {("eigenvalues_many", 2): 1, ("char_poly_exact_many", 2): 1}
         stacks.clear()
+        for name in ("complement_rho_sum", "complement_energy_sum"):
+            assert batch([name]) == [([], ["complement", "spectrum"])] * 2
+            assert stacks == {("eigenvalues_many", 2): 2}
+            stacks.clear()
+        # The regular-complement checks alone build no complement stack.
+        for name in ("regular_complement_spectrum", "regular_energy_sum"):
+            assert batch([name]) == [([], ["spectrum"])] * 2
+            assert stacks == {("eigenvalues_many", 2): 1}
+            stacks.clear()
         everything = list(sweep_module._batch_facts(2, masks, resolve_theorems("all")))
         assert [sorted(decided) for decided, _ in everything] == [
             ["energy_lower_c2", "mcclelland", "power_sums", "rho_lower", "rho_upper"], []]
-        assert all(sorted(known) == ["charpoly", "spectrum", "verified_spectrum"]
+        assert all(sorted(known) == ["charpoly", "complement", "spectrum", "verified_spectrum"]
                    for _, known in everything)
-        assert stacks == {("eigenvalues_many", 2): 1, ("char_poly_exact_many", 2): 1,
+        assert stacks == {("eigenvalues_many", 2): 2, ("char_poly_exact_many", 2): 1,
                           ("poly_roots_many", 2): 1}
         # oracle_charpoly reads the charpoly only where it can enumerate.
         assert [batch(["oracle_charpoly"], n) for n in (8, 9)] == [
@@ -344,23 +354,46 @@ class TestSharedWork:
         for mask, (_, known) in zip(masks, everything):
             facts = GraphFacts(digraph_from_bits(2, mask))
             assert known == {"spectrum": facts.spectrum, "charpoly": facts.charpoly,
-                             "verified_spectrum": facts.verified_spectrum}
+                             "verified_spectrum": facts.verified_spectrum,
+                             "complement": {"spectrum": facts.complement_facts.spectrum}}
+            lone = linalg.eigenvalues(linalg.adjacency(facts.complement_digraph),
+                                      with_residuals=False)
+            assert repr(known["complement"]["spectrum"]) == repr(lone)
 
     def test_batch_read_sets_are_the_checks_that_read_every_graph(self):
         # Run each check alone over the n = 3 classes on fresh facts: the
-        # fields it left cached on every graph are the ones it read.
+        # fields it left cached on every graph are the ones it read.  The
+        # complement's spectrum counts as the field "complement".
         graphs = [digraph_from_bits(3, mask) for mask in orbit_classes(3)[0]]
         cached = {}
         for name, check in THEOREM_CHECKS.items():
-            cached[name] = {"charpoly", "verified_spectrum"}
+            cached[name] = {"charpoly", "verified_spectrum", "complement"}
             for d in graphs:
                 facts = GraphFacts(d)
                 check(facts)
-                cached[name] &= vars(facts).keys()
+                comp = vars(facts).get("complement_facts")
+                cached[name] &= vars(facts).keys() | (
+                    {"complement"} if comp and "spectrum" in vars(comp) else set())
         assert {name for name, fields in cached.items()
                 if "charpoly" in fields} == sweep_module._READ_CHARPOLY
         assert {name for name, fields in cached.items()
                 if "verified_spectrum" in fields} == sweep_module._READ_ROOTS
+        assert {name for name, fields in cached.items()
+                if "complement" in fields} == sweep_module._READ_COMPLEMENT
+
+    def test_complement_stack_matches_the_complements(self):
+        # Every n = 3 class and 48 seeded n = 7 samples, with and without
+        # loops: the stack is the complements' adjacency matrices, and
+        # their stacked spectra equal the one-matrix spectra to the bit.
+        for n, masks in ((3, orbit_classes(3)[0]),
+                         (7, [sweep_module._sample_mask(7, 0.5, p, 40 + i)
+                              for i, p in enumerate([0.0, 0.5] * 24)])):
+            stack = sweep_module._complement_stack(sweep_module._adjacency_stack(n, masks))
+            spectra = linalg.eigenvalues_many(stack, with_residuals=False)
+            for mask, matrix, spectrum in zip(masks, stack, spectra):
+                comp = linalg.adjacency(sweep_module.complement(digraph_from_bits(n, mask)))
+                assert matrix.tolist() == comp.tolist()
+                assert repr(spectrum) == repr(linalg.eigenvalues(comp, with_residuals=False))
 
     def test_adjacency_stack_past_64_bits(self):
         # At n = 9 a bit pattern has 81 bits.
@@ -369,6 +402,78 @@ class TestSharedWork:
         assert stack.shape == (3, 9, 9)
         for mask, matrix in zip(masks, stack):
             assert matrix.tolist() == linalg.adjacency(digraph_from_bits(9, mask)).tolist()
+
+
+class TestFactsTable:
+    """One facts table per chunk: each distinct component digraph, and each
+    loopless form the loop-shift check reads, is analysed once."""
+
+    def test_component_facts_once_per_distinct_component(self, monkeypatch):
+        # Facts built below the sweep's order are components' facts.  The
+        # 188 of sweep(3, "all") cover 6 distinct digraphs, and the 5,179
+        # of sweep(4, "all") cover 113.
+        orders = collections.Counter()
+        one_matrix = collections.Counter()
+        init = GraphFacts.__init__
+
+        def counting_init(facts, d, *args, **kwargs):
+            orders[d.n] += 1
+            init(facts, d, *args, **kwargs)
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                one_matrix["eigenvalues"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(GraphFacts, "__init__", counting_init)
+        monkeypatch.setattr(spectral, "eigenvalues", counting(spectral.eigenvalues))
+        monkeypatch.setattr(linalg, "eigenvalues", counting(linalg.eigenvalues))
+        for n, distinct in ((3, 6), (4, 113)):
+            orders.clear()
+            one_matrix.clear()
+            sweep(n, "all")
+            assert sum(count for order, count in orders.items() if order < n) <= distinct
+        # Nearly all the rest are the loopless forms of the 218 fully
+        # looped classes (8,441 one-matrix calls before the table).
+        assert one_matrix["eigenvalues"] <= 400
+
+    def test_derived_facts_are_shared_through_the_table(self):
+        # Two fully looped graphs with the directed triangle as loopless
+        # form: through one table, their facts reach one facts object for
+        # it, which keeps the table; facts built without one share their
+        # derived facts through a table of their own.
+        triangle = new_digraph(3, [(0, 1), (1, 2), (2, 0)])
+        table = {}
+        first, second = (GraphFacts(new_digraph(3, triangle.arcs, range(3)), table=table)
+                         for _ in range(2))
+        bare = first.derived(first.d.loopless())
+        assert second.derived(second.d.loopless()) is bare
+        assert table == {triangle: bare} and bare.table is table
+        assert first.component_facts == [first]   # own facts stay out
+        assert first.complement_facts.table is table and len(table) == 1
+        alone = GraphFacts(first.d)
+        shared = alone.derived(triangle)
+        assert alone.derived(triangle) is shared and shared is not bare
+        assert alone.table == {triangle: shared} and shared.table is alone.table
+
+    def test_table_keeps_derived_graphs_up_to_order_4(self):
+        # A sampled sweep all but never meets a component or loopless form
+        # of order 5 or more twice, so the table does not hold its facts.
+        for n in (4, 5):
+            cycle = new_digraph(n, [(i, (i + 1) % n) for i in range(n)])
+            looped = GraphFacts(new_digraph(n, cycle.arcs, range(n)))
+            kept = looped.derived(cycle) is looped.derived(cycle)
+            assert kept == (n <= 4) and len(looped.table) == kept
+
+    def test_report_independent_of_chunking(self, monkeypatch):
+        # Tables live per chunk: chunks of 8 classes give the report of
+        # one chunk, serially.
+        whole = sweep(3, "all").to_json_dict()
+        monkeypatch.setattr(sweep_module, "_PART_CLASSES", 8)
+        parts = sweep(3, "all").to_json_dict()
+        whole["wall_time"] = parts["wall_time"] = 0.0
+        assert whole == parts
 
 
 class TestArrayPass:
@@ -412,8 +517,10 @@ class TestArrayPass:
             if facts.d == digraph_from_bits(3, target) else real(facts)))
         chunk = _run_chunk((3, masks, weights, theorems)).to_json_dict()
         walk = sweep_module._new_report(3, "", theorems, {})
+        table = {}
         for mask, weight in zip(masks, weights):
-            if not sweep_module._check_graph(walk, mask, theorems, weight, {}, frozenset()):
+            if not sweep_module._check_graph(walk, mask, theorems, weight, {}, frozenset(),
+                                             table):
                 break
         assert chunk == walk.to_json_dict()
         assert chunk["counterexamples"][0]["graph"] == to_json_dict(digraph_from_bits(3, target))
