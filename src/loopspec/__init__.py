@@ -20,8 +20,7 @@ from .formats import dumps_json, from_json_dict, from_text, load_path, loads, to
 from .scc import (SccPartition, component_digraphs, induced_subdigraph,
                   non_cycle_arcs, prune_non_cycle_arcs, strong_components)
 from .linalg import (CharPoly, Spectrum, adjacency, char_poly_exact,
-                     charpoly_product, digraph_charpoly, digraph_spectrum,
-                     eigenvalues, linear_subdigraph_charpoly,
+                     charpoly_product, eigenvalues, linear_subdigraph_charpoly,
                      matching_distance, poly_roots)
 from .spectral import (EnergyReport, GraphFacts, complement_spectrum_regular,
                        energy, energy_positive_part, regular_energy_sum,
@@ -36,7 +35,6 @@ from .decomposition import (ComponentAnalysis, ImplicationRecord,
                             necessary_condition, sufficient_condition)
 # The function ``sweep`` is not re-exported, so ``loopspec.sweep`` stays
 # the submodule; import it as ``from loopspec.sweep import sweep``.
-from .sweep import (SweepReport, census_findings, iterate_all,
-                    random_digraph, THEOREM_CHECKS)
+from .sweep import SweepReport, census_findings, random_digraph, THEOREM_CHECKS
 
 __version__ = "0.1.0"

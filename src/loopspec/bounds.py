@@ -3,17 +3,19 @@ energy and spectral radius, with equality detection and structural
 equality-case recognition.
 
 Every certificate is oriented as lhs <= rhs, so ``slack`` is nonnegative
-whenever the bound holds.  All count arithmetic (m, c2, sigma) is exact
-rational; only spectra contribute floating point.  ``tolerances`` sets
-every flag: certificates near the boundary are recomputed from the roots
-of the exact characteristic polynomial before the equality flag is trusted.
+whenever the bound holds.  One side of each certificate is a closed form
+in n, m, c2 and sigma, written once in a table: an exact integer over one
+correctly rounded division, at most under a square root.  Only spectra
+contribute any other floating point.  ``tolerances`` sets every flag:
+certificates near the boundary are recomputed from the roots of the exact
+characteristic polynomial before the equality flag is trusted.
 
 ``certain_passes`` decides the bounds on a graph's own spectrum for a
-whole stack of graphs in numpy, from the same spectra.  It marks a graph
-only where every certificate clears the boundary by one tolerance beyond
-the re-check band: there the certifier would pass it with neither a
-re-check nor an equality flag.  Every other graph goes through the
-certifier, and equality flags come only from it.
+whole stack of graphs in numpy, from the same spectra and the same table.
+It marks a graph only where every certificate clears the boundary by one
+tolerance beyond the re-check band: there the certifier would pass it
+with neither a re-check nor an equality flag.  Every other graph goes
+through the certifier, and equality flags come only from it.
 
 The two-cycle count convention is fixed package-wide: c2 counts ordered
 pairs, so each digon contributes two.  A halved convention would silently
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import OrderTooSmall
 from .graphs import delta_sigma, regularity
 from .linalg import Spectrum
-from .spectral import FactsLike, as_facts
+from .spectral import FactsLike, GraphFacts, as_facts
 from .tolerances import RECHECK_BAND, certain_margin, equality_tol, recheck, slack_verdict
 
 MCCLELLAND = "mcclelland"
@@ -76,37 +77,75 @@ class BoundCertificate:
         }
 
 
-def _certify(bound_id: str,
-             compute: Callable[[bool], tuple[float, float]],
-             witness: Callable[[bool], Optional[str]] | None = None) -> BoundCertificate:
-    """Build a certificate; near-boundary slacks trigger the exact-root
-    recomputation before flags are set."""
+def _root(x):
+    """math.sqrt of a float, np.sqrt of an array."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _complement_c2(n, m, c2):
+    """c2 of the complement: of the n (n - 1) ordered pairs, those with
+    neither arc, as 2 m - c2 pairs carry at least one."""
+    return n * (n - 1) - 2 * m + c2
+
+
+# The count side of every certificate, as a closed form in (n, m, c2,
+# sigma): ``_certify`` evaluates it on Python ints and ``certain_passes``
+# on int64 arrays.  Each is one exact integer over one true division,
+# which rounds the exact rational correctly, at most wrapped in a square
+# root or added to sigma/n or 1 - delta.
+_COUNT_SIDES: dict[str, Callable] = {
+    MCCLELLAND: lambda n, m, c2, s: _root((n * (m + c2 + 2 * s) - 2 * s * s) / 2),
+    RHO_LOWER: lambda n, m, c2, s: (c2 + s) / n,
+    ENERGY_LOWER_C2: lambda n, m, c2, s: 2 * c2 / n,
+    RHO_UPPER: lambda n, m, c2, s: s / n + _root(
+        (n - 1) * (n * (m + c2 + 2 * s) - 2 * s * s) / (2 * n * n)),
+    COMPONENT_GAP: lambda n, m, c2, s: 2 * s,
+    COMPLEMENT_RHO_LOWER: lambda n, m, c2, s: (
+        (1 - delta_sigma(s)) * n + c2 + _complement_c2(n, m, c2)) / n,
+    COMPLEMENT_RHO_UPPER: lambda n, m, c2, s: 1 - delta_sigma(s) + _root(
+        (n - 1) * (n * n * (n - 1) + 4 * s * (n - s) + n * (c2 + _complement_c2(n, m, c2)))
+        / (n * n)),
+    COMPLEMENT_ENERGY_SUM: lambda n, m, c2, s: _root(
+        n * (n * n - n + c2 + _complement_c2(n, m, c2) + 4 * s) - 4 * s * s),
+    POWER_SUM_MODULUS: lambda n, m, c2, s: m + s,
+    POWER_SUM_REAL: lambda n, m, c2, s: (m + c2 + 2 * s) / 2,
+    POWER_SUM_IMAG: lambda n, m, c2, s: (m - c2) / 2,
+}
+# The lower bounds, whose count side is the lhs; every other is the rhs.
+_COUNT_ON_LEFT = frozenset({RHO_LOWER, ENERGY_LOWER_C2, COMPLEMENT_RHO_LOWER})
+
+
+def _sides(bound_id: str, count, spectral) -> tuple:
+    """(lhs, rhs) of the bound from its count side and its spectral side."""
+    return (count, spectral) if bound_id in _COUNT_ON_LEFT else (spectral, count)
+
+
+def _certify(bound_id: str, facts: GraphFacts, spectral: Callable[[bool], float],
+             witness: Callable[[GraphFacts], str] | None = None) -> BoundCertificate:
+    """The certificate of ``bound_id`` on the graph, its count side read
+    from _COUNT_SIDES and its spectral side from ``spectral(verified)``; a
+    near-boundary slack triggers the exact-root recomputation before flags
+    are set.  ``witness`` names the structure of an equality."""
+    count = float(_COUNT_SIDES[bound_id](facts.n, facts.m, facts.c2, facts.sigma))
     tol = equality_tol()
-    lhs, rhs = recheck(compute, RECHECK_BAND * tol)
+    lhs, rhs = recheck(lambda verified: _sides(bound_id, count, spectral(verified)),
+                       RECHECK_BAND * tol)
     slack, holds, equality, _, _ = slack_verdict(lhs, rhs, tol)
     return BoundCertificate(
         bound_id=bound_id, lhs=lhs, rhs=rhs, holds=holds, slack=slack,
         equality=equality,
-        witness=witness(equality) if witness is not None else None)
+        witness=witness(facts) if equality and witness is not None else None)
 
 
 def mcclelland(d: FactsLike) -> BoundCertificate:
     """E <= sqrt(n (m + c2 + 2 sigma - 2 sigma^2 / n) / 2)."""
     facts = as_facts(d)
-    radicand = Fraction(facts.n, 2) * (
-        facts.m + facts.c2 + 2 * facts.sigma - Fraction(2 * facts.sigma ** 2, facts.n))
-    rhs = math.sqrt(float(radicand))
+    return _certify(MCCLELLAND, facts, facts.energy_value,
+                    lambda f: _family(mcclelland_equality_family(f)))
 
-    def value(verified: bool) -> tuple[float, float]:
-        return facts.energy_value(verified), rhs
 
-    def witness(equality: bool) -> Optional[str]:
-        if not equality:
-            return None
-        tag = mcclelland_equality_family(facts)
-        return f"family: {tag}" if tag else FAMILY_UNRECOGNIZED
-
-    return _certify(MCCLELLAND, value, witness)
+def _family(tag: Optional[str]) -> str:
+    return f"family: {tag}" if tag else FAMILY_UNRECOGNIZED
 
 
 def mcclelland_equality_family(d: FactsLike) -> Optional[str]:
@@ -146,19 +185,13 @@ def mcclelland_equality_family(d: FactsLike) -> Optional[str]:
 def rho_lower(d: FactsLike) -> BoundCertificate:
     """(c2 + sigma) / n <= rho."""
     facts = as_facts(d)
-    lhs = float(Fraction(facts.c2 + facts.sigma, facts.n))
 
-    def value(verified: bool) -> tuple[float, float]:
-        return lhs, facts.rho(verified)
-
-    def witness(equality: bool) -> Optional[str]:
-        if not equality:
-            return None
-        if rho_lower_equality_structure(facts):
+    def witness(f: GraphFacts) -> str:
+        if rho_lower_equality_structure(f):
             return "pruned graph is a symmetric (c2+sigma)/n-regular symmetrization"
         return STRUCTURE_UNRECOGNIZED
 
-    return _certify(RHO_LOWER, value, witness)
+    return _certify(RHO_LOWER, facts, facts.rho, witness)
 
 
 def rho_lower_equality_structure(d: FactsLike) -> bool:
@@ -171,24 +204,14 @@ def rho_lower_equality_structure(d: FactsLike) -> bool:
     if not pruned.is_symmetric():
         return False
     r = regularity(pruned)
-    return r is not None and Fraction(facts.c2 + facts.sigma, facts.n) == r
+    return r is not None and facts.c2 + facts.sigma == r * facts.n
 
 
 def energy_lower_c2(d: FactsLike) -> BoundCertificate:
     """2 c2 / n <= E."""
     facts = as_facts(d)
-    lhs = float(Fraction(2 * facts.c2, facts.n))
-
-    def value(verified: bool) -> tuple[float, float]:
-        return lhs, facts.energy_value(verified)
-
-    def witness(equality: bool) -> Optional[str]:
-        if not equality:
-            return None
-        tag = energy_lower_equality_family(facts)
-        return f"family: {tag}" if tag else FAMILY_UNRECOGNIZED
-
-    return _certify(ENERGY_LOWER_C2, value, witness)
+    return _certify(ENERGY_LOWER_C2, facts, facts.energy_value,
+                    lambda f: _family(energy_lower_equality_family(f)))
 
 
 def energy_lower_equality_family(d: FactsLike) -> Optional[str]:
@@ -227,66 +250,39 @@ def rho_upper(d: FactsLike) -> BoundCertificate:
     facts = as_facts(d)
     if facts.n < 2:
         raise OrderTooSmall("rho upper bound needs n >= 2")
-    radicand = (Fraction(facts.sigma ** 2, facts.n ** 2)
-                - Fraction(facts.sigma ** 2, facts.n)
-                + Fraction((facts.n - 1) * (facts.m + facts.c2 + 2 * facts.sigma),
-                           2 * facts.n))
-    rhs = float(Fraction(facts.sigma, facts.n)) + math.sqrt(float(radicand))
-
-    def value(verified: bool) -> tuple[float, float]:
-        return facts.rho(verified), rhs
-
-    return _certify(RHO_UPPER, value)
+    return _certify(RHO_UPPER, facts, facts.rho)
 
 
 def component_gap(d: FactsLike) -> BoundCertificate:
     """|E - sum of strong-component energies| <= 2 sigma."""
     facts = as_facts(d)
-    rhs = float(2 * facts.sigma)
 
-    def value(verified: bool) -> tuple[float, float]:
-        total = facts.energy_value(verified)
-        parts = math.fsum(f.energy_value(verified) for f in facts.component_facts)
-        return abs(total - parts), rhs
+    def gap(verified: bool) -> float:
+        total, parts = facts.energy_and_parts(verified)
+        return abs(total - parts)
 
-    return _certify(COMPONENT_GAP, value)
+    return _certify(COMPONENT_GAP, facts, gap)
 
 
 def complement_rho_sum(d: FactsLike) -> tuple[BoundCertificate, BoundCertificate]:
     """Two-sided bound on rho + rho(complement)."""
     facts = as_facts(d)
-    n, sigma = facts.n, facts.sigma
-    delta = delta_sigma(facts.d)
-    c2_both = facts.c2 + facts.complement_facts.c2
-    low = float((1 - delta) + Fraction(c2_both, n))
-    radicand = (Fraction((n - 1) ** 2)
-                - Fraction(4 * sigma * (n - sigma), n ** 2)
-                + Fraction(4 * sigma * (n - sigma), n)
-                + Fraction((n - 1) * c2_both, n))
-    high = (1 - delta) + math.sqrt(float(radicand))
 
     def rho_sum(verified: bool) -> float:
         return facts.rho(verified) + facts.complement_facts.rho(verified)
 
-    lower = _certify(COMPLEMENT_RHO_LOWER, lambda v: (low, rho_sum(v)))
-    upper = _certify(COMPLEMENT_RHO_UPPER, lambda v: (rho_sum(v), high))
-    return lower, upper
+    return (_certify(COMPLEMENT_RHO_LOWER, facts, rho_sum),
+            _certify(COMPLEMENT_RHO_UPPER, facts, rho_sum))
 
 
 def complement_energy_sum(d: FactsLike) -> BoundCertificate:
     """E + E(complement) <= sqrt(n (n^2 - n + c2 + c2_bar + 4 sigma - 4 sigma^2/n))."""
     facts = as_facts(d)
-    n, sigma = facts.n, facts.sigma
-    c2_both = facts.c2 + facts.complement_facts.c2
-    radicand = Fraction(n) * (n * n - n + c2_both + 4 * sigma
-                              - Fraction(4 * sigma ** 2, n))
-    rhs = math.sqrt(float(radicand))
 
-    def value(verified: bool) -> tuple[float, float]:
-        lhs = facts.energy_value(verified) + facts.complement_facts.energy_value(verified)
-        return lhs, rhs
+    def energy_sum(verified: bool) -> float:
+        return facts.energy_value(verified) + facts.complement_facts.energy_value(verified)
 
-    return _certify(COMPLEMENT_ENERGY_SUM, value)
+    return _certify(COMPLEMENT_ENERGY_SUM, facts, energy_sum)
 
 
 def power_sum_bounds(d: FactsLike) -> tuple[BoundCertificate, BoundCertificate, BoundCertificate]:
@@ -301,16 +297,9 @@ def power_sum_bounds(d: FactsLike) -> tuple[BoundCertificate, BoundCertificate, 
         im2 = math.fsum(z.imag * z.imag for z in values)
         return re2, im2
 
-    modulus = _certify(
-        POWER_SUM_MODULUS,
-        lambda v: (sum(sums(v)), float(facts.m + facts.sigma)))
-    real = _certify(
-        POWER_SUM_REAL,
-        lambda v: (sums(v)[0], float(Fraction(facts.m + facts.c2 + 2 * facts.sigma, 2))))
-    imag = _certify(
-        POWER_SUM_IMAG,
-        lambda v: (sums(v)[1], float(Fraction(facts.m - facts.c2, 2))))
-    return modulus, real, imag
+    return (_certify(POWER_SUM_MODULUS, facts, lambda v: sum(sums(v))),
+            _certify(POWER_SUM_REAL, facts, lambda v: sums(v)[0]),
+            _certify(POWER_SUM_IMAG, facts, lambda v: sums(v)[1]))
 
 
 # Every certifier, in report order, with the bound ids of what it returns.
@@ -365,19 +354,18 @@ def certain_passes(n: int, adj: np.ndarray, spectra: Sequence[Spectrum | Excepti
     would then pass it without the exact-root re-check and without
     equality, so a caller may tally the pass without running it.  Every
     other row (near or inside the re-check band, violated, with a failed
-    spectrum, or ``rho_upper`` at n = 1) is left to the certifier.  Each
-    count-only side is one exact integer over one float division, equal to
-    the certifier's value to the bit.  The spectral sides add their n
-    nonnegative terms with ``np.sum`` where the certifiers use
-    ``math.fsum``; the totals differ by at most (n + 1) eps of the larger,
-    which the margin's eps term covers at any tol.
+    spectrum, or ``rho_upper`` at n = 1) is left to the certifier.  The
+    count sides come from the certifiers' own table, evaluated on int64
+    arrays, so they equal the certifiers' values to the bit.  The spectral
+    sides add their n nonnegative terms with ``np.sum`` where the
+    certifiers use ``math.fsum``; the totals differ by at most (n + 1) eps
+    of the larger, which the margin's eps term covers at any tol.
     """
     k = len(adj)
     a = adj.astype(np.int64)
     sigma = np.einsum("kii->k", a)
     m = a.sum(axis=(1, 2)) - sigma
     c2 = np.einsum("kij,kji->k", a, a) - sigma
-    edges = m + c2 + 2 * sigma
     failed = (complex("nan"),) * n
     z = np.array([s.values if isinstance(s, Spectrum) else failed for s in spectra],
                  dtype=complex).reshape(k, n)
@@ -385,20 +373,19 @@ def certain_passes(n: int, adj: np.ndarray, spectra: Sequence[Spectrum | Excepti
     rho = np.abs(z).max(axis=1)
     re2 = (z.real * z.real).sum(axis=1)
     im2 = (z.imag * z.imag).sum(axis=1)
+    spectral = {MCCLELLAND: energy, RHO_LOWER: rho, ENERGY_LOWER_C2: energy, RHO_UPPER: rho,
+                POWER_SUM_MODULUS: re2 + im2, POWER_SUM_REAL: re2, POWER_SUM_IMAG: im2}
     margin = certain_margin(n, tol)
 
-    def clear(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    def clear(bound_ids: tuple[str, ...]) -> np.ndarray:
         ok = np.ones(k, dtype=bool)
-        for lhs, rhs in pairs:
+        for bound_id in bound_ids:
+            count = _COUNT_SIDES[bound_id](n, m, c2, sigma)
+            lhs, rhs = _sides(bound_id, count, spectral[bound_id])
             ok &= rhs - lhs > margin * np.maximum(1.0, np.abs(rhs))
         return ok
 
-    return {
-        "mcclelland": clear((energy, np.sqrt((n * edges - 2 * sigma ** 2) / 2))),
-        "rho_lower": clear(((c2 + sigma) / n, rho)),
-        "energy_lower_c2": clear((2 * c2 / n, energy)),
-        "rho_upper": clear((rho, sigma / n + np.sqrt(
-            (n * (n - 1) * edges - 2 * (n - 1) * sigma ** 2) / (2 * n * n)))) & (n >= 2),
-        "power_sum_bounds": clear((re2 + im2, (m + sigma).astype(float)),
-                                  (re2, edges / 2), (im2, (m - c2) / 2)),
-    }
+    passes = {certify.__name__: clear(ids) for certify, ids in _CERTIFIERS
+              if spectral.keys() >= set(ids)}
+    passes["rho_upper"] &= n >= 2
+    return passes

@@ -96,8 +96,8 @@ class ImplicationRecord:
 def analyze(d: FactsLike) -> ComponentAnalysis:
     """Per-component spectra, energies, and threshold sets."""
     facts = as_facts(d)
-    center = facts.center
-    center_f = float(center)
+    center = Fraction(facts.sigma, facts.n)
+    center_f = facts.sigma / facts.n
     entries = []
     for pos, comp_facts in enumerate(facts.component_facts):
         ratio = Fraction(comp_facts.sigma, comp_facts.n)
@@ -124,10 +124,11 @@ def analyze(d: FactsLike) -> ComponentAnalysis:
             assert set(c.b_indices) <= set(c.a_indices)
         else:
             assert set(c.a_indices) <= set(c.b_indices)
+    total_energy, sum_component_energy = facts.energy_and_parts()
     return ComponentAnalysis(
         components=components,
-        total_energy=facts.energy_value(),
-        sum_component_energy=math.fsum(c.energy for c in components),
+        total_energy=total_energy,
+        sum_component_energy=sum_component_energy,
         l=l,
         permutation=permutation,
         center=center,
@@ -161,10 +162,7 @@ def _implication(facts, energy_antecedent: bool) -> ImplicationRecord:
         return ImplicationRecord(ImplicationStatus.NOT_APPLICABLE,
                                  *(None, None, False, False) * 2, True)
     status = ImplicationStatus.APPLIED if analysis.l else ImplicationStatus.DEGENERATE
-    total, parts = recheck(
-        lambda verified: (facts.energy_value(verified),
-                          math.fsum(f.energy_value(verified) for f in facts.component_facts)),
-        ENERGY_RECHECK_BAND)
+    total, parts = recheck(facts.energy_and_parts, ENERGY_RECHECK_BAND)
     _, holds, _, strict, violated = slack_verdict(total, parts, ENERGY_CERTAINTY)
     energy = (total, parts, holds, strict)
     ratio_lhs, ratio_rhs, denom = _ratio_inequality(analysis, use_b=energy_antecedent)

@@ -119,15 +119,16 @@ def complement(d: Digraph) -> Digraph:
     """
     arcs = frozenset((u, v) for u in range(d.n) for v in range(d.n)
                      if u != v and (u, v) not in d.arcs)
-    if d.sigma == 0:
+    if delta_sigma(d.sigma):
         return Digraph(d.n, arcs, frozenset())
     loops = frozenset(v for v in range(d.n) if v not in d.loops)
     return Digraph(d.n, arcs, loops)
 
 
-def delta_sigma(d: Digraph) -> int:
-    """Indicator switching the complement convention: 1 iff sigma = 0."""
-    return 1 if d.sigma == 0 else 0
+def delta_sigma(sigma):
+    """Indicator switching the complement convention: 1 iff the loop count
+    sigma is 0.  Elementwise on an integer array."""
+    return 1 * (sigma == 0)
 
 
 def disjoint_union(parts: Sequence[Digraph]) -> Digraph:

@@ -188,10 +188,6 @@ def _char_polys(a: np.ndarray) -> list[CharPoly]:
     return [CharPoly(tuple(row)) for row in (traces // -steps).tolist()]
 
 
-def digraph_charpoly(d: Digraph) -> CharPoly:
-    return char_poly_exact(adjacency(d))
-
-
 def charpoly_product(polys: Iterable[CharPoly]) -> CharPoly:
     """Product of monic polynomials, exact."""
     acc = [1]
@@ -414,10 +410,6 @@ def _polished_spectrum(a: np.ndarray, scale: float, raw: list[complex] | None,
                 f"eigenvalue backward error {max(residuals):.3e} exceeds "
                 f"{EIGEN_RESIDUAL_TOL:.0e} * {scale:.3e}")
     return Spectrum(values, residuals)
-
-
-def digraph_spectrum(d: Digraph, *, with_residuals: bool = True) -> Spectrum:
-    return eigenvalues(adjacency(d), with_residuals=with_residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
@@ -112,10 +111,6 @@ class GraphFacts:
         return count_two_cycles(self.d)
 
     @cached_property
-    def center(self) -> Fraction:
-        return Fraction(self.sigma, self.n)
-
-    @cached_property
     def adjacency(self):
         return adjacency(self.d)
 
@@ -184,16 +179,19 @@ class GraphFacts:
         return decomposition.analyze(self)
 
     def energy_report(self, verified: bool = False) -> EnergyReport:
-        if verified:
-            if "_energy_verified" not in self.__dict__:
-                self._energy_verified = _energy_from(self.spectrum_for(True), self.center)
-            return self._energy_verified
-        if "_energy_plain" not in self.__dict__:
-            self._energy_plain = _energy_from(self.spectrum_for(False), self.center)
-        return self._energy_plain
+        key = "_energy_verified" if verified else "_energy_plain"
+        if key not in self.__dict__:
+            self.__dict__[key] = _energy_from(self.spectrum_for(verified), self.sigma / self.n)
+        return self.__dict__[key]
 
     def energy_value(self, verified: bool = False) -> float:
         return self.energy_report(verified).energy
+
+    def energy_and_parts(self, verified: bool = False) -> tuple[float, float]:
+        """E and the sum of the strong components' energies, both from the
+        QR spectra or both from the exact roots (``verified``)."""
+        return (self.energy_value(verified),
+                math.fsum(f.energy_value(verified) for f in self.component_facts))
 
     def rho(self, verified: bool = False) -> float:
         return self.spectrum_for(verified).rho()
@@ -206,12 +204,11 @@ def as_facts(d: FactsLike) -> GraphFacts:
     return d if isinstance(d, GraphFacts) else GraphFacts(d, with_residuals=True)
 
 
-def _energy_from(spectrum: Spectrum, center: Fraction) -> EnergyReport:
-    c = float(center)
-    deviations = tuple(abs(z.real - c) for z in spectrum.values)
+def _energy_from(spectrum: Spectrum, center: float) -> EnergyReport:
+    deviations = tuple(abs(z.real - center) for z in spectrum.values)
     return EnergyReport(
         energy=math.fsum(deviations),
-        center=c,
+        center=center,
         deviations=deviations,
         rho=spectrum.rho(),
     )
@@ -229,7 +226,7 @@ def energy_positive_part(d: FactsLike) -> float:
     above and below the center balance exactly.
     """
     facts = as_facts(d)
-    c = float(facts.center)
+    c = facts.sigma / facts.n
     return 2.0 * math.fsum(
         z.real - c for z in facts.spectrum.values if threshold_side(z.real, c) > 0
     )
@@ -289,7 +286,7 @@ def complement_spectrum_regular(d: FactsLike) -> Spectrum:
     r = facts.regularity
     if r is None:
         raise NotRegular("complement spectrum map needs a regular digraph")
-    delta = delta_sigma(facts.d)
+    delta = delta_sigma(facts.sigma)
     values = list(facts.spectrum.values)
     perron = min(range(len(values)), key=lambda i: abs(values[i] - r))
     if not agrees(values[perron], r, SPECTRUM_MATCH_TOL):

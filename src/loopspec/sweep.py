@@ -63,7 +63,7 @@ from . import bounds, decomposition, spectral
 from .decomposition import ImplicationStatus
 from .errors import CounterexampleError, LoopspecError, OrderTooSmall, SizeLimit
 from .formats import to_json_dict
-from .graphs import Digraph, complement, degrees
+from .graphs import Digraph, complement, degrees, delta_sigma
 from .linalg import (MAX_ENUMERATION_ORDER, char_poly_exact_many, charpoly_product,
                      eigenvalues_many, linear_subdigraph_charpoly, poly_roots_many)
 from .spectral import GraphFacts
@@ -92,14 +92,6 @@ def digraph_from_bits(n: int, mask: int) -> Digraph:
             else:
                 arcs.append((i, j))
     return Digraph(n, frozenset(arcs), frozenset(loops))
-
-
-def iterate_all(n: int) -> Iterator[Digraph]:
-    """Every loop-digraph on n labeled vertices, in bit-pattern order."""
-    if n > MAX_EXHAUSTIVE_ORDER:
-        raise SizeLimit(f"exhaustive enumeration capped at n = {MAX_EXHAUSTIVE_ORDER}")
-    for mask in range(1 << (n * n)):
-        yield digraph_from_bits(n, mask)
 
 
 _ORBIT_CHUNK = 1 << 14   # masks relabeled at once; bounds the numpy temporaries
@@ -571,12 +563,9 @@ def _batch_facts(n: int, masks: Sequence[int],
 
 def _complement_stack(adj: np.ndarray) -> np.ndarray:
     """The adjacency matrices of the complements of a 0/1 stack, as
-    ``graphs.complement`` makes them: J - A, or J - I - A for a matrix
-    with no loop."""
-    comp = 1 - adj
-    diagonal = np.einsum("kii->ki", comp)   # a writable view
-    diagonal[adj.trace(axis1=1, axis2=2) == 0] = 0
-    return comp
+    ``graphs.complement`` makes them: J - A - delta I."""
+    delta = delta_sigma(adj.trace(axis1=1, axis2=2))
+    return 1 - adj - delta[:, None, None] * np.eye(adj.shape[1], dtype=np.int64)
 
 
 def _preset_exact(adj: np.ndarray, known: list[dict], charpoly_rows: Sequence[int],

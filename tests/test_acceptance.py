@@ -22,10 +22,10 @@ from loopspec import (complete_bipartite, directed_cycle, disjoint_union,
 from loopspec.bounds import mcclelland, mcclelland_equality_family
 from loopspec.formats import from_json_dict
 from loopspec.graphs import count_two_cycles
-from loopspec.linalg import (adjacency, digraph_charpoly, digraph_spectrum,
-                             linear_subdigraph_charpoly, poly_roots)
+from loopspec.linalg import adjacency, linear_subdigraph_charpoly, poly_roots
 from loopspec.spectral import GraphFacts, complement_spectrum_regular, regular_energy_sum
-from loopspec.sweep import iterate_all, random_digraph, sweep
+from loopspec.sweep import random_digraph, sweep
+from digraph_helpers import digraph_charpoly, digraph_spectrum, iterate_all
 from mcclelland_witness import is_triangle_plus_looped_vertex
 
 

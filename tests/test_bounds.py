@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from loopspec import (ALL_BOUND_IDS, OrderTooSmall, all_certificates,
@@ -10,9 +12,12 @@ from loopspec import (ALL_BOUND_IDS, OrderTooSmall, all_certificates,
                       energy_lower_c2, mcclelland, mcclelland_equality_family,
                       new_digraph, power_sum_bounds, rho_lower,
                       rho_lower_equality_structure, rho_upper)
+from loopspec import bounds
 from loopspec.bounds import energy_lower_equality_family
+from loopspec.graphs import complement, count_two_cycles
 from loopspec.spectral import GraphFacts
-from loopspec.sweep import iterate_all
+from loopspec.sweep import digraph_from_bits, orbit_classes, random_digraph
+from digraph_helpers import iterate_all
 
 SQRT5 = math.sqrt(5)
 
@@ -269,3 +274,58 @@ class TestAllCertificates:
 
     def test_only_rho_upper_at_order_one(self):
         assert all_certificates(new_digraph(1, loops=[0]), only="rho_upper") == []
+
+
+def published_count_sides(n: int, m: int, c2: int, sigma: int, c2_bar: int) -> dict:
+    """Each certificate's count side as the paper writes it, in exact
+    rationals, rounded once to float (a square root after that)."""
+    delta = 1 if sigma == 0 else 0
+    both = c2 + c2_bar
+    return {
+        "mcclelland": math.sqrt(float(
+            Fraction(n, 2) * (m + c2 + 2 * sigma - Fraction(2 * sigma ** 2, n)))),
+        "rho_lower": float(Fraction(c2 + sigma, n)),
+        "energy_lower_c2": float(Fraction(2 * c2, n)),
+        "rho_upper": float(Fraction(sigma, n)) + math.sqrt(float(
+            Fraction(sigma ** 2, n ** 2) - Fraction(sigma ** 2, n)
+            + Fraction((n - 1) * (m + c2 + 2 * sigma), 2 * n))),
+        "component_gap": float(2 * sigma),
+        "complement_rho_lower": float((1 - delta) + Fraction(both, n)),
+        "complement_rho_upper": (1 - delta) + math.sqrt(float(
+            (n - 1) ** 2 - Fraction(4 * sigma * (n - sigma), n ** 2)
+            + Fraction(4 * sigma * (n - sigma), n) + Fraction((n - 1) * both, n))),
+        "complement_energy_sum": math.sqrt(float(
+            n * (n * n - n + both + 4 * sigma - Fraction(4 * sigma ** 2, n)))),
+        "power_sum_modulus": float(m + sigma),
+        "power_sum_real": float(Fraction(m + c2 + 2 * sigma, 2)),
+        "power_sum_imag": float(Fraction(m - c2, 2)),
+    }
+
+
+def count_side_graphs():
+    """Every class with n <= 4, and seeded graphs of sparse to dense arcs,
+    with no loops, some and all, at n = 5, 7, 12, 33 and 64."""
+    for n in range(1, 5):
+        for mask in orbit_classes(n)[0]:
+            yield digraph_from_bits(n, mask)
+    for n in (5, 7, 12, 33, 64):
+        for seed, (arc_prob, loop_prob) in enumerate(
+                (a, l) for a in (0.05, 0.5, 0.95) for l in (0.0, 0.5, 1.0)):
+            yield random_digraph(n, arc_prob, loop_prob, 1000 * n + seed)
+
+
+class TestCountSides:
+    def test_table_sides_equal_the_published_formulas_to_the_bit(self):
+        # On Python ints, as the certifiers evaluate them, and on one-row
+        # int64 arrays, as the array pass does.
+        assert set(bounds._COUNT_SIDES) == set(ALL_BOUND_IDS)
+        for d in count_side_graphs():
+            n, m, c2, sigma = d.n, d.m, count_two_cycles(d), d.sigma
+            c2_bar = count_two_cycles(complement(d))
+            assert bounds._complement_c2(n, m, c2) == c2_bar
+            published = published_count_sides(n, m, c2, sigma, c2_bar)
+            rows = [np.array([x], dtype=np.int64) for x in (m, c2, sigma)]
+            for bound_id, side in bounds._COUNT_SIDES.items():
+                want = published[bound_id].hex()
+                assert float(side(n, m, c2, sigma)).hex() == want, (d, bound_id)
+                assert float(side(n, *rows)[0]).hex() == want, (d, bound_id)

@@ -8,9 +8,9 @@ from loopspec import (ab_remark_check, analyze, disjoint_union,
                       matching_distance, necessary_condition,
                       prune_non_cycle_arcs, sufficient_condition)
 from loopspec.decomposition import ImplicationStatus, _ratio_inequality
-from loopspec.linalg import digraph_spectrum
 from loopspec.spectral import GraphFacts
-from loopspec.sweep import digraph_from_bits, iterate_all, orbit_classes
+from loopspec.sweep import digraph_from_bits, orbit_classes
+from digraph_helpers import digraph_spectrum, iterate_all
 
 
 class TestAnalyze:

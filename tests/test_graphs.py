@@ -10,7 +10,7 @@ from loopspec import (BadPartition, IdOutOfRange, SelfPairInArcList,
                       count_two_cycles, degrees, directed_cycle,
                       disjoint_union, empty_digraph, generate, is_acyclic,
                       new_digraph, regularity)
-from loopspec.sweep import iterate_all
+from digraph_helpers import iterate_all
 
 
 def random_digraphs(max_n=6):

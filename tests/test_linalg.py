@@ -10,8 +10,7 @@ import pytest
 
 from loopspec import (CharPoly, LoopspecError, SizeLimit, adjacency,
                       char_poly_exact, charpoly_product, complete,
-                      count_two_cycles, digraph_charpoly, digraph_spectrum,
-                      eigenvalues, linear_subdigraph_charpoly,
+                      count_two_cycles, eigenvalues, linear_subdigraph_charpoly,
                       matching_distance, new_digraph, poly_roots)
 from loopspec import linalg
 from loopspec.errors import NoConvergence
@@ -20,8 +19,9 @@ from loopspec.linalg import (_aberth_many, _divide_monic, _horner_pair,
                              eigenvalues_many, poly_roots_many,
                              square_free_decomposition)
 from loopspec.spectral import trace_identities
-from loopspec.sweep import (digraph_from_bits, iterate_all, orbit_classes,
+from loopspec.sweep import (digraph_from_bits, orbit_classes,
                             random_digraph)
+from digraph_helpers import digraph_charpoly, digraph_spectrum, iterate_all
 from test_golden import N7_SEEDS
 
 GOLDEN = (1 + math.sqrt(5)) / 2

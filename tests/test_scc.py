@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-from loopspec import (complete, digraph_charpoly, directed_cycle,
+from loopspec import (complete, directed_cycle,
                       new_digraph, non_cycle_arcs, prune_non_cycle_arcs,
                       strong_components)
 from loopspec.scc import component_digraphs, induced_subdigraph
-from loopspec.sweep import iterate_all
+from digraph_helpers import digraph_charpoly, iterate_all
 
 
 def brute_force_components(d):

@@ -5,13 +5,14 @@ import math
 import pytest
 
 from loopspec import (NotRegular, complement, complete,
-                      complement_spectrum_regular, digraph_spectrum,
+                      complement_spectrum_regular,
                       directed_cycle, empty_digraph, energy,
                       energy_positive_part, matching_distance, new_digraph,
                       regular_energy_sum, spectral_radius, trace_identities,
                       zero_energy_check)
 from loopspec.spectral import GraphFacts
-from loopspec.sweep import iterate_all, random_digraph
+from loopspec.sweep import random_digraph
+from digraph_helpers import digraph_spectrum, iterate_all
 
 SQRT5 = math.sqrt(5)
 

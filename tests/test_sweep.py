@@ -15,28 +15,16 @@ from loopspec.bounds import (FAMILY_UNRECOGNIZED, STRUCTURE_UNRECOGNIZED,
 from loopspec.formats import from_json_dict, to_json_dict
 from loopspec.spectral import GraphFacts
 from loopspec.sweep import (CheckOutcome, THEOREM_CHECKS, _census_signature,
-                            _run_chunk, digraph_from_bits, iterate_all,
+                            _run_chunk, digraph_from_bits,
                             orbit_classes, random_digraph, resolve_theorems,
                             sweep)
 from loopspec.tolerances import equality_tol
+from digraph_helpers import iterate_all
 from mcclelland_witness import is_triangle_plus_looped_vertex
 from test_golden import ARRAY5, N7_SEEDS
 
 
 class TestIterateAll:
-    def test_counts(self):
-        assert sum(1 for _ in iterate_all(1)) == 2
-        assert sum(1 for _ in iterate_all(2)) == 16
-        assert sum(1 for _ in iterate_all(3)) == 512
-
-    def test_distinct(self):
-        graphs = list(iterate_all(2))
-        assert len(set(graphs)) == 16
-
-    def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            next(iterate_all(6))
-
     def test_bit_layout(self):
         # mask 1 sets entry (0, 0): a loop at vertex 0
         assert digraph_from_bits(2, 1) == new_digraph(2, [], [0])

@@ -8,6 +8,7 @@ import ast
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -73,15 +74,18 @@ class TestRecheck:
 
     @pytest.mark.parametrize("rhs", [1.0, 4.0])
     def test_certify_rechecks_inside_ten_tol(self, rhs, tol):
+        # The modulus power sum's count side, m + sigma, is its rhs.
+        facts = SimpleNamespace(n=4, m=int(rhs), c2=0, sigma=0)
         b = 10.0 * tol * max(1.0, abs(rhs))
         for lhs in around(rhs - b, rhs + b):
             calls = []
 
-            def compute(verified: bool, lhs=lhs) -> tuple[float, float]:
+            def spectral(verified: bool, lhs=lhs) -> float:
                 calls.append(verified)
-                return lhs, rhs
+                return lhs
 
-            bounds._certify("test", compute)
+            cert = bounds._certify(bounds.POWER_SUM_MODULUS, facts, spectral)
+            assert (cert.lhs, cert.rhs) == (lhs, rhs)
             assert calls == ([False, True] if abs(rhs - lhs) <= b else [False])
 
 
@@ -208,3 +212,26 @@ def test_no_tolerance_literal_outside_the_layer(module):
     source = (SOURCE / module).read_text()
     assert small_float_literals(source) == []
     assert "10.0 * tol" not in source and "11 * tol" not in source
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level name of every module an import statement names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_import_guard_sees_fractions():
+    source = "import math\nfrom fractions import Fraction\nfrom .graphs import x\n"
+    assert imported_modules(source) == {"math", "fractions"}
+
+
+@pytest.mark.parametrize("module", ["bounds.py", "spectral.py"])
+def test_count_sides_use_no_fractions(module):
+    # Every count side is an exact integer over one correctly rounded
+    # division, so these modules need no rational type.
+    assert "fractions" not in imported_modules((SOURCE / module).read_text())
