@@ -204,7 +204,7 @@ def _cmd_decompose(args) -> int:
             {
                 "n": c.n,
                 "sigma": c.sigma,
-                "ratio": float(c.ratio),
+                "ratio": c.ratio,
                 "energy": c.energy,
                 "eigenvalues": _complex_pairs(c.spectrum.values),
                 "a_size": len(c.a_indices),
@@ -216,7 +216,7 @@ def _cmd_decompose(args) -> int:
         "sum_component_energy": analysis.sum_component_energy,
         "l": analysis.l,
         "permutation": list(analysis.permutation),
-        "center": float(analysis.center),
+        "center": analysis.center,
         "sufficient_condition": decomposition.sufficient_condition(facts).to_json_dict(),
         "necessary_condition": decomposition.necessary_condition(facts).to_json_dict(),
     }

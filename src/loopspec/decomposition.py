@@ -10,9 +10,12 @@ not agree.  This module computes both, the threshold sets
 and the two implication theorems relating the set-weighted loop-ratio
 inequalities to E <= sum E(D_i).  Components are reordered so those with
 sigma_i/n_i above the global ratio come first; the reordering permutation
-is recorded.  All ratio arithmetic is exact, in integers over one common
-denominator, so the antecedent of the first theorem and the consequent of
-the second are decided exactly.
+is recorded.  ``analyze`` computes the sides of both ratio inequalities
+once, exactly, in integers over one common denominator lcm(n, n_1, ...,
+n_k), so the antecedent of the first theorem and the consequent of the
+second are decided exactly; the records and ``ab_remark_check`` read
+those sides.  The ratios and the center are floats, sigma_i/n_i and
+sigma/n correctly rounded, for the thresholds and for reporting.
 The threshold sets and the energy comparison go through ``tolerances``,
 which holds their margins and the exact-root re-check rule.
 """
@@ -22,7 +25,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .linalg import Spectrum
@@ -43,7 +45,7 @@ class ComponentData:
 
     n: int
     sigma: int
-    ratio: Fraction
+    ratio: float                 # sigma/n of this component, correctly rounded
     spectrum: Spectrum
     energy: float
     a_indices: tuple[int, ...]   # eigenvalue positions with Re > sigma/n
@@ -57,7 +59,10 @@ class ComponentAnalysis:
     sum_component_energy: float
     l: int                               # components with ratio > sigma/n
     permutation: tuple[int, ...]         # analysis order -> condensation order
-    center: Fraction
+    center: float                        # sigma/n, correctly rounded
+    a_sides: tuple[int, int]             # (lhs, rhs) of the A-set inequality, times denom
+    b_sides: tuple[int, int]             # (lhs, rhs) of the B-set inequality, times denom
+    denom: int                           # lcm(n, n_1, ..., n_k)
 
     @property
     def k(self) -> int:
@@ -94,62 +99,47 @@ class ImplicationRecord:
 
 
 def analyze(d: FactsLike) -> ComponentAnalysis:
-    """Per-component spectra, energies, and threshold sets."""
+    """Per-component spectra, energies and threshold sets, and the sides
+    of both ratio inequalities."""
     facts = as_facts(d)
-    center = Fraction(facts.sigma, facts.n)
-    center_f = facts.sigma / facts.n
+    center = facts.sigma / facts.n
+    denom = math.lcm(facts.n, *(c.n for c in facts.component_facts))
+    scaled_center = facts.sigma * (denom // facts.n)
     entries = []
+    a_sides, b_sides = [0, 0], [0, 0]
     for pos, comp_facts in enumerate(facts.component_facts):
-        ratio = Fraction(comp_facts.sigma, comp_facts.n)
-        spectrum = comp_facts.spectrum
-        report = comp_facts.energy_report()
-        a_idx = tuple(j for j, z in enumerate(spectrum.values)
-                      if threshold_side(z.real, center_f) > 0)
-        b_idx = tuple(j for j, z in enumerate(spectrum.values)
-                      if threshold_side(z.real, float(ratio)) > 0)
-        entries.append((ratio, pos, ComponentData(
+        # (sigma_i/n_i - sigma/n) * denom, exactly.
+        gap = comp_facts.sigma * (denom // comp_facts.n) - scaled_center
+        ratio = comp_facts.sigma / comp_facts.n
+        values = comp_facts.spectrum.values
+        a_idx = tuple(j for j, z in enumerate(values) if threshold_side(z.real, center) > 0)
+        b_idx = tuple(j for j, z in enumerate(values) if threshold_side(z.real, ratio) > 0)
+        # Membership sanity from the definitions: B inside A above the
+        # center, A inside B at or below it.
+        assert set(b_idx) <= set(a_idx) if gap > 0 else set(a_idx) <= set(b_idx)
+        # A component above the center weighs on the left side of each
+        # inequality, one below it on the right.
+        a_sides[gap <= 0] += abs(gap) * len(a_idx)
+        b_sides[gap <= 0] += abs(gap) * len(b_idx)
+        entries.append((-gap, pos, ComponentData(
             n=comp_facts.n, sigma=comp_facts.sigma, ratio=ratio,
-            spectrum=spectrum, energy=report.energy,
+            spectrum=comp_facts.spectrum, energy=comp_facts.energy_report().energy,
             a_indices=a_idx, b_indices=b_idx)))
     # Ratios above the global center first, descending, stable by
     # condensation position.
-    entries.sort(key=lambda item: (-item[0], item[1]))
-    components = tuple(item[2] for item in entries)
-    permutation = tuple(item[1] for item in entries)
-    l = sum(1 for c in components if c.ratio > center)
-    # Membership sanity from the definitions: B inside A above the center,
-    # A inside B at or below it.
-    for i, c in enumerate(components):
-        if c.ratio > center:
-            assert set(c.b_indices) <= set(c.a_indices)
-        else:
-            assert set(c.a_indices) <= set(c.b_indices)
+    entries.sort(key=lambda item: item[:2])
     total_energy, sum_component_energy = facts.energy_and_parts()
     return ComponentAnalysis(
-        components=components,
+        components=tuple(item[2] for item in entries),
         total_energy=total_energy,
         sum_component_energy=sum_component_energy,
-        l=l,
-        permutation=permutation,
+        l=sum(1 for neg_gap, _, _ in entries if neg_gap < 0),
+        permutation=tuple(item[1] for item in entries),
         center=center,
+        a_sides=tuple(a_sides),
+        b_sides=tuple(b_sides),
+        denom=denom,
     )
-
-
-def _ratio_inequality(analysis: ComponentAnalysis, use_b: bool) -> tuple[int, int, int]:
-    """Exact sides of sum_{i<=l} (ratio_i - center) |S_i| <=
-    sum_{i>l} (center - ratio_i) |S_i| with S in {A, B}, as integers over
-    one common denominator of the center and every ratio, returned third."""
-    denom = math.lcm(analysis.center.denominator, *(c.n for c in analysis.components))
-    center = analysis.center.numerator * (denom // analysis.center.denominator)
-    lhs = rhs = 0
-    for i, c in enumerate(analysis.components):
-        size = len(c.b_indices if use_b else c.a_indices)
-        gap = c.sigma * (denom // c.n) - center
-        if i < analysis.l:
-            lhs += gap * size
-        else:
-            rhs -= gap * size
-    return lhs, rhs, denom
 
 
 def _implication(facts, energy_antecedent: bool) -> ImplicationRecord:
@@ -165,10 +155,11 @@ def _implication(facts, energy_antecedent: bool) -> ImplicationRecord:
     total, parts = recheck(facts.energy_and_parts, ENERGY_RECHECK_BAND)
     _, holds, _, strict, violated = slack_verdict(total, parts, ENERGY_CERTAINTY)
     energy = (total, parts, holds, strict)
-    ratio_lhs, ratio_rhs, denom = _ratio_inequality(analysis, use_b=energy_antecedent)
+    ratio_lhs, ratio_rhs = analysis.b_sides if energy_antecedent else analysis.a_sides
     ratio_holds, ratio_strict = ratio_lhs <= ratio_rhs, ratio_lhs < ratio_rhs
-    # int / int rounds correctly, as float(Fraction) does.
-    ratio = (ratio_lhs / denom, ratio_rhs / denom, ratio_holds, ratio_strict)
+    # int / int rounds correctly, to the nearest float of the exact side.
+    ratio = (ratio_lhs / analysis.denom, ratio_rhs / analysis.denom,
+             ratio_holds, ratio_strict)
     if energy_antecedent:
         return ImplicationRecord(status, *energy, *ratio, not strict or ratio_strict)
     # A holding antecedent fails only on a certainly violated energy
@@ -206,6 +197,5 @@ def ab_remark_check(d: FactsLike) -> bool:
     """The A-set form of the signed ratio expression dominates the B-set
     form; exact comparison over one common denominator."""
     analysis = as_facts(d).analysis
-    a_lhs, a_rhs, _ = _ratio_inequality(analysis, use_b=False)
-    b_lhs, b_rhs, _ = _ratio_inequality(analysis, use_b=True)
-    return (a_lhs - a_rhs) >= (b_lhs - b_rhs)
+    (a_lhs, a_rhs), (b_lhs, b_rhs) = analysis.a_sides, analysis.b_sides
+    return a_lhs - a_rhs >= b_lhs - b_rhs

@@ -26,17 +26,18 @@ which are the ones whose certificates may ask for exact roots, get their
 exact charpolys and roots from one batch call per stack; so does every
 graph when a selected check reads them on every graph.  When a selected
 check reads the complement's spectrum on every graph, the stack of
-complements gets its spectra from one more stacked call.  Each graph's ``GraphFacts`` starts
-with these fields filled, and a complement's with its spectrum.  A graph
-whose batch row fails gets the field unfilled, so its own lazy call
-raises at the same point of the check order as it would alone, and only
-if the sweep reaches it.
+complements gets its spectra from one more stacked call.  Each graph's
+``GraphFacts`` starts with these fields filled, and a complement's with
+its spectrum.  A graph whose batch row fails gets the field unfilled, so
+its own lazy call raises at the same point of the check order as it
+would alone, and only if the sweep reaches it.
 
 The graphs of a chunk share one facts table (see ``spectral``), keyed by
 the exact labeled digraph: each distinct strong component of order 4 or
 less, and each such loopless form that the loop-shift check compares
-with, is analysed once per chunk, however many graphs contain it.  The table lives as long as
-its chunk, so every chunk, in whatever process, computes the same values.
+with, is analysed once per chunk, however many graphs contain it.  The
+table lives as long as its chunk, so every chunk, in whatever process,
+computes the same values.
 
 A failed check is a counterexample to a published statement; the sweep
 stops, serializes the witness graph, and the report carries it.  A sweep
@@ -529,9 +530,9 @@ def _batch_facts(n: int, masks: Sequence[int],
     check's re-check may read; so does every graph when a selected check
     reads them on every graph.  When a selected check reads the
     complement's spectrum on every graph, every graph gets it as
-    ``complement``, the preset of its complement's facts.  A graph whose computation fails
-    gets no field, so that its own lazy call raises the error at the point
-    of the check order where it always did."""
+    ``complement``, the preset of its complement's facts.  A graph whose
+    computation fails gets no field, so that its own lazy call raises the
+    error at the point of the check order where it always did."""
     reads = set(theorems)
     if n > MAX_ENUMERATION_ORDER:
         reads.discard("oracle_charpoly")   # "na" on every graph: it reads nothing

@@ -7,9 +7,9 @@ import pytest
 from loopspec import (ab_remark_check, analyze, disjoint_union,
                       matching_distance, necessary_condition,
                       prune_non_cycle_arcs, sufficient_condition)
-from loopspec.decomposition import ImplicationStatus, _ratio_inequality
+from loopspec.decomposition import ImplicationStatus
 from loopspec.spectral import GraphFacts
-from loopspec.sweep import digraph_from_bits, orbit_classes
+from loopspec.sweep import digraph_from_bits, orbit_classes, random_digraph
 from digraph_helpers import digraph_spectrum, iterate_all
 
 
@@ -20,8 +20,13 @@ class TestAnalyze:
         assert analysis.l == 1
         # The triangle (loop ratio 2/3) sorts above the digon (1/2), and the
         # triangle is the second strong component in condensation order.
-        assert analysis.components[0].ratio == Fraction(2, 3)
-        assert analysis.components[1].ratio == Fraction(1, 2)
+        assert analysis.components[0].ratio == 2 / 3
+        assert analysis.components[1].ratio == 1 / 2
+        # Each float is the nearest one to its exact ratio.
+        for c in analysis.components:
+            assert c.ratio.hex() == float(Fraction(c.sigma, c.n)).hex()
+        assert analysis.center.hex() == float(
+            Fraction(fig_union.sigma, fig_union.n)).hex()
         assert analysis.permutation == (1, 0)
         assert round(analysis.total_energy, 4) == 4.3458
         assert round(analysis.sum_component_energy, 4) == 4.4125
@@ -123,53 +128,75 @@ class TestAbRemark:
             assert ab_remark_check(GraphFacts(d))
 
 
-def _fraction_sides(analysis, use_b):
-    """The ratio inequality's sides in Fractions, as the module once
-    computed them."""
+def _fraction_sides(facts, use_b):
+    """The ratio inequality's sides in Fractions, from the definitions."""
+    analysis = facts.analysis
+    center = Fraction(facts.sigma, facts.n)
     lhs = rhs = Fraction(0)
     for i, c in enumerate(analysis.components):
         size = len(c.b_indices if use_b else c.a_indices)
         if i < analysis.l:
-            lhs += (c.ratio - analysis.center) * size
+            lhs += (Fraction(c.sigma, c.n) - center) * size
         else:
-            rhs += (analysis.center - c.ratio) * size
+            rhs += (center - Fraction(c.sigma, c.n)) * size
     return lhs, rhs
+
+
+def _check_ratio_sides(facts) -> bool:
+    """The stored integer sides over their common denominator equal the
+    Fraction sides exactly, report the same floats to the bit, and give
+    ab_remark_check and both records the same outcomes.  True when the
+    graph has more than one strong component."""
+    analysis = facts.analysis
+    center = Fraction(facts.sigma, facts.n)
+    ratios = [Fraction(c.sigma, c.n) for c in analysis.components]
+    assert ratios == sorted(ratios, reverse=True)
+    assert analysis.l == sum(ratio > center for ratio in ratios)
+    sides, denom = {}, analysis.denom
+    for use_b, (lhs, rhs) in ((False, analysis.a_sides), (True, analysis.b_sides)):
+        reference = _fraction_sides(facts, use_b)
+        assert (Fraction(lhs, denom), Fraction(rhs, denom)) == reference
+        assert (lhs / denom, rhs / denom) == tuple(map(float, reference))
+        sides[use_b] = reference
+    (a_lhs, a_rhs), (b_lhs, b_rhs) = sides[False], sides[True]
+    assert ab_remark_check(facts) == (a_lhs - a_rhs >= b_lhs - b_rhs)
+    if analysis.k == 1:
+        return False
+    record = sufficient_condition(facts)
+    assert (record.antecedent_lhs, record.antecedent_rhs) == (float(a_lhs), float(a_rhs))
+    assert (record.antecedent_holds, record.antecedent_strict) == (
+        a_lhs <= a_rhs, a_lhs < a_rhs)
+    record = necessary_condition(facts)
+    assert (record.consequent_lhs, record.consequent_rhs) == (float(b_lhs), float(b_rhs))
+    assert (record.consequent_holds, record.consequent_strict) == (
+        b_lhs <= b_rhs, b_lhs < b_rhs)
+    return True
 
 
 class TestRatioSides:
     def test_integer_sides_match_fractions_on_every_class_to_n4(self):
-        # The integer sides over their common denominator equal the
-        # Fraction sides exactly, report the same floats to the bit, and
-        # give ab_remark_check the same outcome.
         applied = 0
         for n in range(1, 5):
             table = {}
             for mask in orbit_classes(n)[0]:
                 facts = GraphFacts(digraph_from_bits(n, mask), table=table)
-                analysis = facts.analysis
-                sides = {}
-                for use_b in (False, True):
-                    lhs, rhs, denom = _ratio_inequality(analysis, use_b)
-                    reference = _fraction_sides(analysis, use_b)
-                    assert (Fraction(lhs, denom), Fraction(rhs, denom)) == reference
-                    assert (lhs / denom, rhs / denom) == tuple(map(float, reference))
-                    sides[use_b] = reference
-                (a_lhs, a_rhs), (b_lhs, b_rhs) = sides[False], sides[True]
-                assert ab_remark_check(facts) == (a_lhs - a_rhs >= b_lhs - b_rhs)
-                if analysis.k == 1:
-                    continue
-                applied += 1
-                record = sufficient_condition(facts)
-                assert (record.antecedent_lhs, record.antecedent_rhs) == (
-                    float(a_lhs), float(a_rhs))
-                assert (record.antecedent_holds, record.antecedent_strict) == (
-                    a_lhs <= a_rhs, a_lhs < a_rhs)
-                record = necessary_condition(facts)
-                assert (record.consequent_lhs, record.consequent_rhs) == (
-                    float(b_lhs), float(b_rhs))
-                assert (record.consequent_holds, record.consequent_strict) == (
-                    b_lhs <= b_rhs, b_lhs < b_rhs)
+                applied += _check_ratio_sides(facts)
+                # lcm(n, n_1, ..., n_k) divides 12 at every order up to 4.
+                assert 12 % facts.analysis.denom == 0
         assert applied > 1000
+
+    def test_integer_sides_match_fractions_on_seeded_graphs_n5_to_n7(self):
+        # 87 of the 90 graphs have several strong components, and 11
+        # common denominators, such as 5, 14, 30 and 42, divide no 12, so
+        # no class with n <= 4 reaches them.
+        applied, denoms = 0, set()
+        for n in (5, 6, 7):
+            for seed in range(30):
+                facts = GraphFacts(random_digraph(n, 0.2, 0.5, 1000 * n + seed))
+                applied += _check_ratio_sides(facts)
+                denoms.add(facts.analysis.denom)
+        assert applied == 87
+        assert len({denom for denom in denoms if 12 % denom}) == 11
 
 
 class TestSetContainments:

@@ -230,8 +230,8 @@ def test_import_guard_sees_fractions():
     assert imported_modules(source) == {"math", "fractions"}
 
 
-@pytest.mark.parametrize("module", ["bounds.py", "spectral.py"])
+@pytest.mark.parametrize("module", sorted(path.name for path in SOURCE.glob("*.py")))
 def test_count_sides_use_no_fractions(module):
-    # Every count side is an exact integer over one correctly rounded
-    # division, so these modules need no rational type.
+    # Every count side and ratio side is an exact integer, read through at
+    # most one correctly rounded division, so no module needs a rational type.
     assert "fractions" not in imported_modules((SOURCE / module).read_text())
