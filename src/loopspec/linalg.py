@@ -13,25 +13,28 @@ Two independent eigenvalue routes keep floating-point results honest:
   square-free factor.
 
 ``char_poly_exact`` (Faddeev-LeVerrier) and ``linear_subdigraph_charpoly``
-(signed cycle-cover counts, by a depth-first search over the digraph's
-cycles) give the same dual-route treatment to the polynomial itself.
+(signed cycle-cover counts, by a subset recursion over vertex sets) give
+the same dual-route treatment to the polynomial itself.
 
 Each route has a batch form that pays numpy's per-call cost once per
 stack of matrices instead of once per matrix: ``eigenvalues_many`` makes
 one stacked LAPACK call and polishes each matrix's values,
-``char_poly_exact_many`` runs Faddeev-LeVerrier on an int64 stack, and
-``poly_roots_many`` runs one Aberth iteration over the square-free factors
-of all its polynomials.  The one-matrix functions are these kernels on a
-stack of one, so both give the same values.  The int64 products are
-guarded once per stack: before the first one, a bound on the entries of
-the last proves that nothing can overflow, and a stack for which it
-cannot runs on numpy object arrays of Python ints throughout.  A batch
-kernel reports a failed matrix or polynomial as its error in place of the
-result, so one failure leaves the rest of the stack.
+``char_poly_exact_many`` runs Faddeev-LeVerrier on an int64 stack,
+``linear_subdigraph_charpoly_many`` counts the cycle covers of a 0/1
+stack one vertex-set size at a time, and ``poly_roots_many`` runs one
+Aberth iteration over the square-free factors of all its polynomials.
+The one-matrix functions are these kernels on a stack of one, so both
+give the same values.  The Faddeev-LeVerrier products are guarded once
+per stack: before the first one, a bound on the entries of the last
+proves that int64 cannot overflow, and a stack for which it cannot runs
+on numpy object arrays of Python ints throughout.  A batch kernel reports
+a failed matrix or polynomial as its error in place of the result, so one
+failure leaves the rest of the stack.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -204,40 +207,97 @@ def charpoly_product(polys: Iterable[CharPoly]) -> CharPoly:
 
 
 def linear_subdigraph_charpoly(d: Digraph) -> CharPoly:
-    """Characteristic polynomial from signed cycle-cover counts.
+    """Characteristic polynomial from signed cycle-cover counts; see
+    ``linear_subdigraph_charpoly_many``."""
+    return linear_subdigraph_charpoly_many(adjacency(d)[None])[0]
+
+
+def linear_subdigraph_charpoly_many(adj) -> list[CharPoly]:
+    """Characteristic polynomials of a (k, n, n) stack of 0/1 adjacency
+    matrices from signed cycle-cover counts.
 
     The coefficient of lambda^(n-i) is the sum over all unions L of
     vertex-disjoint directed cycles covering exactly i vertices (loops count
-    as 1-cycles) of (-1) raised to the number of cycles in L.  A depth-first
-    search reaches each union once: it adds cycles in increasing order of
-    their least vertex s, growing each from s along existing arcs through
-    uncovered vertices above s until an arc returns to s.  Exponential in
-    the worst case; the independent oracle for ``char_poly_exact``.
+    as 1-cycles) of (-1) raised to the number of cycles in L.  Two subset
+    recursions over vertex sets count them for the whole stack, one set
+    size at a time.  First, paths[T, v] counts the paths from min T to v
+    that visit exactly T; one product with A extends them to every vertex
+    w > min T, and its column min T closes them into cyc[T], the cycles on
+    exactly T (for |T| = 1, the loop).  Then F(S), the signed sum over the
+    unions covering exactly S, is 1 for the empty set and otherwise
+    -sum cyc[C] F(S - C) over the sets C within S that hold min S, and the
+    coefficient is the sum of F(S) over |S| = i.  Every count is at most
+    n! <= 8!, so int64 is exact.  The independent oracle for
+    ``char_poly_exact``.
     """
-    n = d.n
+    a = _square_stack(np.asarray(adj), stacked=True)
+    k, n = a.shape[0], a.shape[-1]
     if n > MAX_ENUMERATION_ORDER:
         raise SizeLimit(f"cycle-cover enumeration capped at n = {MAX_ENUMERATION_ORDER}")
-    succ = [[w for w in range(n) if (v, w) in d.arcs] + [v] * (v in d.loops)
-            for v in range(n)]
-    totals = [0] * (n + 1)   # totals[i] = a_i, the coefficient of lambda^(n-i)
+    if not ((a == 0) | (a == 1)).all():
+        raise LoopspecError("adjacency entries must be 0 or 1")
+    a = a.astype(np.int64)
+    path_layers, cover_layers = _cover_tables(n)
+    cyc = np.zeros((k, 1 << n), dtype=np.int64)
+    paths = np.eye(n, dtype=np.int64)   # the 1-vertex paths, the same for every graph
+    for members, closing, grown, into, source in path_layers:
+        # ends[:, j * n + w]: the paths on set j, extended by one arc to w
+        ends = (paths @ a).reshape(k, len(members) * n)
+        cyc[:, members] = ends[:, closing]
+        paths = np.zeros((k, grown * n), dtype=np.int64)
+        paths[:, into] = ends[:, source]
+        paths = paths.reshape(k, grown, n)
+    covers = np.zeros((k, 1 << n), dtype=np.int64)   # F(S)
+    covers[:, 0] = 1
+    coeffs = np.zeros((k, n), dtype=np.int64)   # the constant term's first
+    for i, (members, starts, cycles, rests) in enumerate(cover_layers, 1):
+        level = -np.add.reduceat(cyc[:, cycles] * covers[:, rests], starts, axis=1)
+        covers[:, members] = level
+        coeffs[:, n - i] = level.sum(axis=1)
+    return [CharPoly(tuple(row)) for row in coeffs.tolist()]
 
-    def add_cycles(first: int, covered: int, size: int, sign: int) -> None:
-        # Count the union so far, then start its next cycle at some s >= first.
-        totals[size] += sign
-        for s in range(first, n):
-            if not covered >> s & 1:
-                grow(s, s, covered | 1 << s, size + 1, -sign)
 
-    def grow(s: int, v: int, covered: int, size: int, sign: int) -> None:
-        # A path s -> ... -> v through ``covered``; close it or extend it.
-        for w in succ[v]:
-            if w == s:
-                add_cycles(s + 1, covered, size, sign)
-            elif w > s and not covered >> w & 1:
-                grow(s, w, covered | 1 << w, size + 1, sign)
+@functools.cache
+def _cover_tables(n: int) -> tuple[list[tuple], list[tuple]]:
+    """The index tables of ``linear_subdigraph_charpoly_many`` at order n,
+    one entry per set size t = 1..n, each set a bit mask of vertices.
 
-    add_cycles(0, 0, 0, 1)
-    return CharPoly(tuple(reversed(totals[1:])))
+    A path layer holds the sets of size t, ascending; ``closing``, the
+    flat index of (set, min set) in that layer's extended paths; and the
+    scatter that builds the paths on the sets of size t + 1 from them: the
+    path on T + {w} ending at w > min T is a path on T extended to w.  A
+    cover layer holds the same sets; ``starts``, where each set's pairs
+    begin; and for each pair the cycle set C, holding min S, and S - C."""
+    by_size = [[] for _ in range(n + 2)]
+    for s in range(1 << n):
+        by_size[s.bit_count()].append(s)
+    position = {s: j for layer in by_size for j, s in enumerate(layer)}
+    path_layers, cover_layers = [], []
+    for t in range(1, n + 1):
+        layer, larger = by_size[t], by_size[t + 1]
+        closing = [j * n + (s & -s).bit_length() - 1 for j, s in enumerate(layer)]
+        into, source = [], []
+        for j, s in enumerate(larger):
+            for w in range(n):
+                if s >> w & 1 and s & -s != 1 << w:
+                    into.append(j * n + w)
+                    source.append(position[s ^ 1 << w] * n + w)
+        path_layers.append((np.array(layer), np.array(closing, dtype=np.intp), len(larger),
+                            np.array(into, dtype=np.intp), np.array(source, dtype=np.intp)))
+        starts, cycles, rests = [], [], []
+        for s in layer:
+            low = s & -s
+            starts.append(len(cycles))
+            sub = rest = s ^ low
+            while True:   # every subset of the rest, with low added
+                cycles.append(sub | low)
+                rests.append(rest ^ sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+        cover_layers.append((np.array(layer), np.array(starts, dtype=np.intp),
+                             np.array(cycles, dtype=np.intp), np.array(rests, dtype=np.intp)))
+    return path_layers, cover_layers
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import CounterexampleError, NotRegular
 from .graphs import (Digraph, complement, count_two_cycles, delta_sigma,
                      is_acyclic, regularity)
 from .linalg import (CharPoly, Spectrum, adjacency, char_poly_exact, eigenvalues,
-                     poly_roots)
+                     linear_subdigraph_charpoly, poly_roots)
 from .tolerances import (SPECTRUM_MATCH_TOL, TRACE_TOL, ZERO_ENERGY_TOL, agrees,
                          perron_attained, threshold_side)
 
@@ -67,8 +67,9 @@ class GraphFacts:
     Everything is derived from the immutable graph, so instances are safe
     to share.  ``with_residuals=False`` skips eigenvalue backward-error
     estimates, which bulk sweeps do not need.  ``known`` presets cached
-    fields (``spectrum``, ``charpoly``, ``verified_spectrum``) computed
-    elsewhere, as a sweep computes them for a chunk of graphs at once;
+    fields (``spectrum``, ``charpoly``, ``verified_spectrum``,
+    ``cycle_cover_charpoly``) computed elsewhere, as a sweep computes them
+    for a chunk of graphs at once;
     ``complement`` presets those of ``complement_facts`` in the same way.
     ``table`` maps digraphs to the facts that ``derived`` returns for
     them; without one, the facts start a table of their own.
@@ -117,6 +118,11 @@ class GraphFacts:
     @cached_property
     def charpoly(self) -> CharPoly:
         return char_poly_exact(self.adjacency)
+
+    @cached_property
+    def cycle_cover_charpoly(self) -> CharPoly:
+        """Independent route: the charpoly from signed cycle-cover counts."""
+        return linear_subdigraph_charpoly(self.d)
 
     @cached_property
     def spectrum(self) -> Spectrum:

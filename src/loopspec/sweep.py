@@ -26,11 +26,13 @@ which are the ones whose certificates may ask for exact roots, get their
 exact charpolys and roots from one batch call per stack; so does every
 graph when a selected check reads them on every graph.  When a selected
 check reads the complement's spectrum on every graph, the stack of
-complements gets its spectra from one more stacked call.  Each graph's
-``GraphFacts`` starts with these fields filled, and a complement's with
-its spectrum.  A graph whose batch row fails gets the field unfilled, so
-its own lazy call raises at the same point of the check order as it
-would alone, and only if the sweep reaches it.
+complements gets its spectra from one more stacked call.  When the
+cycle-cover oracle is selected and n <= 8, one call per stack of
+``linalg.linear_subdigraph_charpoly_many`` counts every graph's cycle
+covers.  Each graph's ``GraphFacts`` starts with these fields filled,
+and a complement's with its spectrum.  A graph whose batch row fails
+gets the field unfilled, so its own lazy call raises at the same point
+of the check order as it would alone, and only if the sweep reaches it.
 
 The graphs of a chunk share one facts table (see ``spectral``), keyed by
 the exact labeled digraph: each distinct strong component of order 4 or
@@ -66,7 +68,7 @@ from .errors import CounterexampleError, LoopspecError, OrderTooSmall, SizeLimit
 from .formats import to_json_dict
 from .graphs import Digraph, complement, degrees, delta_sigma
 from .linalg import (MAX_ENUMERATION_ORDER, char_poly_exact_many, charpoly_product,
-                     eigenvalues_many, linear_subdigraph_charpoly, poly_roots_many)
+                     eigenvalues_many, linear_subdigraph_charpoly_many, poly_roots_many)
 from .spectral import GraphFacts
 from .tolerances import (CLOSED_FORM_RTOL, TRACE_TOL, agrees, equality_tol, scaled,
                          spectra_match)
@@ -268,7 +270,7 @@ def check_oracle_charpoly(facts: GraphFacts) -> CheckOutcome:
     if facts.n > MAX_ENUMERATION_ORDER:
         return CheckOutcome(
             "na", f"cycle-cover enumeration capped at n = {MAX_ENUMERATION_ORDER}")
-    combinatorial = linear_subdigraph_charpoly(facts.d)
+    combinatorial = facts.cycle_cover_charpoly
     if combinatorial != facts.charpoly:
         return CheckOutcome(
             "fail", f"{facts.charpoly} vs cycle covers {combinatorial}")
@@ -508,12 +510,14 @@ def _adjacency_stack(n: int, masks: Sequence[int]) -> np.ndarray:
                          bitorder="little").reshape(len(masks), n, n)
 
 
-# Checks that read the exact charpoly, its roots, and the complement's
-# spectrum, of every graph.  The regular-complement checks read the
-# complement's spectrum of regular graphs only, so they get the preset
-# when another check has the stack built, and compute their own otherwise.
+# Checks that read the exact charpoly, its roots, the cycle-cover charpoly,
+# and the complement's spectrum, of every graph.  The regular-complement
+# checks read the complement's spectrum of regular graphs only, so they get
+# the preset when another check has the stack built, and compute their own
+# otherwise.
 _READ_CHARPOLY = frozenset({"charpoly_invariance", "oracle_charpoly", "oracle_roots"})
 _READ_ROOTS = frozenset({"oracle_roots"})
+_READ_CYCLE_COVERS = frozenset({"oracle_charpoly"})
 _READ_COMPLEMENT = frozenset({"complement_rho_sum", "complement_energy_sum"})
 _STACK = 256   # graphs per stack of the batch stage; bounds the memory it holds
 
@@ -530,7 +534,8 @@ def _batch_facts(n: int, masks: Sequence[int],
     check's re-check may read; so does every graph when a selected check
     reads them on every graph.  When a selected check reads the
     complement's spectrum on every graph, every graph gets it as
-    ``complement``, the preset of its complement's facts.  A graph whose
+    ``complement``, the preset of its complement's facts; when one reads
+    the cycle-cover charpoly, every graph gets it.  A graph whose
     computation fails gets no field, so that its own lazy call raises the
     error at the point of the check order where it always did."""
     reads = set(theorems)
@@ -547,6 +552,9 @@ def _batch_facts(n: int, masks: Sequence[int],
                                                       with_residuals=False)):
                 if not isinstance(s, LoopspecError):
                     row["complement"] = {"spectrum": s}
+        if _READ_CYCLE_COVERS.intersection(reads):
+            for row, p in zip(known, linear_subdigraph_charpoly_many(adj)):
+                row["cycle_cover_charpoly"] = p
         decided = [frozenset()] * len(adj)
         columns = []
         if certified:

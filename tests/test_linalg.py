@@ -10,18 +10,20 @@ import pytest
 
 from loopspec import (CharPoly, LoopspecError, SizeLimit, adjacency,
                       char_poly_exact, charpoly_product, complete,
-                      count_two_cycles, eigenvalues, linear_subdigraph_charpoly,
-                      matching_distance, new_digraph, poly_roots)
+                      count_two_cycles, eigenvalues, empty_digraph,
+                      linear_subdigraph_charpoly, matching_distance,
+                      new_digraph, poly_roots)
 from loopspec import linalg
 from loopspec.errors import NoConvergence
 from loopspec.linalg import (_aberth_many, _divide_monic, _horner_pair,
                              _rounding_scale, char_poly_exact_many,
-                             eigenvalues_many, poly_roots_many,
-                             square_free_decomposition)
+                             eigenvalues_many, linear_subdigraph_charpoly_many,
+                             poly_roots_many, square_free_decomposition)
 from loopspec.spectral import trace_identities
 from loopspec.sweep import (digraph_from_bits, orbit_classes,
                             random_digraph)
-from digraph_helpers import digraph_charpoly, digraph_spectrum, iterate_all
+from digraph_helpers import (cycle_cover_charpoly_dfs, digraph_charpoly,
+                             digraph_spectrum, iterate_all)
 from test_golden import N7_SEEDS
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -166,6 +168,48 @@ class TestLinearSubdigraphCharpoly:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             linear_subdigraph_charpoly(new_digraph(9))
+        with pytest.raises(SizeLimit):
+            linear_subdigraph_charpoly_many(np.zeros((2, 9, 9), dtype=np.int64))
+
+    def test_rejects_entries_other_than_0_and_1(self):
+        for mat in ([[[2]]], [[[0, -1], [1, 0]]], [[[0.5]]]):
+            with pytest.raises(LoopspecError):
+                linear_subdigraph_charpoly_many(mat)
+
+    @staticmethod
+    def _stack_matches_the_dfs(graphs):
+        stack = np.stack([adjacency(d) for d in graphs])
+        assert linear_subdigraph_charpoly_many(stack) == [
+            cycle_cover_charpoly_dfs(d) for d in graphs]
+
+    def test_stack_matches_the_dfs_on_every_class_to_n4(self):
+        for n in range(1, 5):
+            self._stack_matches_the_dfs([digraph_from_bits(n, mask)
+                                         for mask in orbit_classes(n)[0]])
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_stack_matches_the_dfs_on_seeded_graphs(self, n):
+        # 300 graphs per order, at arc densities 0.2, 0.4 and 0.6.
+        self._stack_matches_the_dfs([random_digraph(n, (1 + seed % 3) / 5, 0.5, seed)
+                                     for seed in range(300)])
+
+    def test_edge_cases_match_the_dfs(self):
+        # One vertex with and without its loop, the empty graph at each
+        # order, and the complete digraph with every loop at n = 8, whose
+        # cycle unions, one per partial permutation, give the largest
+        # counts the kernel meets.
+        graphs = [empty_digraph(1, [0])] + [new_digraph(n) for n in range(1, 9)]
+        for d in graphs + [complete(8, range(8))]:
+            assert linear_subdigraph_charpoly(d) == cycle_cover_charpoly_dfs(d)
+        assert linear_subdigraph_charpoly(empty_digraph(1, [0])).full() == (-1, 1)
+        assert linear_subdigraph_charpoly(new_digraph(8)).full() == (0,) * 8 + (1,)
+        # det(lambda I - J) = lambda^7 (lambda - 8)
+        assert linear_subdigraph_charpoly(complete(8, range(8))).full() == (0,) * 7 + (-8, 1)
+
+    def test_one_graph_form_is_its_stack_row(self):
+        graphs = [random_digraph(6, 0.5, 0.5, seed) for seed in range(8)]
+        stack = linear_subdigraph_charpoly_many(np.stack([adjacency(d) for d in graphs]))
+        assert [linear_subdigraph_charpoly(d) for d in graphs] == stack
 
 
 class TestCharpolyProduct:

@@ -290,7 +290,8 @@ class TestSharedWork:
         # call, and the exact charpolys and roots only with oracle_roots,
         # or on a graph whose certificate check the arrays leave open.
         # The complements' spectra come from one more stacked call exactly
-        # when a selected check reads them on every graph.  A loop with an arc (0b0011)
+        # when a selected check reads them on every graph, and so do the
+        # cycle-cover charpolys.  A loop with an arc (0b0011)
         # clears every such bound, so in the census it gets no charpoly;
         # the loopless digon (0b0110) attains every one.
         stacks = collections.Counter()
@@ -303,7 +304,8 @@ class TestSharedWork:
                 return real(mats, **kwargs)
             monkeypatch.setattr(sweep_module, name, wrapper)
 
-        for name in ("eigenvalues_many", "char_poly_exact_many", "poly_roots_many"):
+        for name in ("eigenvalues_many", "char_poly_exact_many", "poly_roots_many",
+                     "linear_subdigraph_charpoly_many"):
             counted(name)
         masks = [0b0011, 0b0110]
 
@@ -332,21 +334,48 @@ class TestSharedWork:
         everything = list(sweep_module._batch_facts(2, masks, resolve_theorems("all")))
         assert [sorted(decided) for decided, _ in everything] == [
             ["energy_lower_c2", "mcclelland", "power_sums", "rho_lower", "rho_upper"], []]
-        assert all(sorted(known) == ["charpoly", "complement", "spectrum", "verified_spectrum"]
+        assert all(sorted(known) == ["charpoly", "complement", "cycle_cover_charpoly",
+                                     "spectrum", "verified_spectrum"]
                    for _, known in everything)
         assert stacks == {("eigenvalues_many", 2): 2, ("char_poly_exact_many", 2): 1,
-                          ("poly_roots_many", 2): 1}
-        # oracle_charpoly reads the charpoly only where it can enumerate.
+                          ("poly_roots_many", 2): 1, ("linear_subdigraph_charpoly_many", 2): 1}
+        stacks.clear()
+
+        def cover_calls():   # stack size -> calls of the cycle-cover kernel
+            return {size: count for (name, size), count in stacks.items()
+                    if name == "linear_subdigraph_charpoly_many"}
+
+        # oracle_charpoly reads the charpoly and the cycle covers only where
+        # it can enumerate: one cycle-cover call per stack at n = 8, none at
+        # n = 9, and none for any other check.
         assert [batch(["oracle_charpoly"], n) for n in (8, 9)] == [
-            [([], ["charpoly", "spectrum"])] * 2, [([], ["spectrum"])] * 2]
+            [([], ["charpoly", "cycle_cover_charpoly", "spectrum"])] * 2,
+            [([], ["spectrum"])] * 2]
+        assert cover_calls() == {2: 1}
+        stacks.clear()
+        for name in THEOREM_CHECKS:
+            if name != "oracle_charpoly":
+                batch([name], 8)
+        assert cover_calls() == {}
+        with monkeypatch.context() as patched:
+            patched.setattr(sweep_module, "_STACK", 1)
+            batch(["oracle_charpoly"], 8)
+            assert cover_calls() == {1: 2}
         for mask, (_, known) in zip(masks, everything):
             facts = GraphFacts(digraph_from_bits(2, mask))
             assert known == {"spectrum": facts.spectrum, "charpoly": facts.charpoly,
                              "verified_spectrum": facts.verified_spectrum,
+                             "cycle_cover_charpoly": facts.cycle_cover_charpoly,
                              "complement": {"spectrum": facts.complement_facts.spectrum}}
             lone = linalg.eigenvalues(linalg.adjacency(facts.complement_digraph),
                                       with_residuals=False)
             assert repr(known["complement"]["spectrum"]) == repr(lone)
+        # The cycle-cover preset is the lazy field, on seeded n = 8 graphs.
+        dense = [sweep_module._sample_mask(8, 0.5, 0.5, seed) for seed in range(4)]
+        for mask, (_, known) in zip(dense, sweep_module._batch_facts(8, dense,
+                                                                      ["oracle_charpoly"])):
+            lazy = GraphFacts(digraph_from_bits(8, mask)).cycle_cover_charpoly
+            assert known["cycle_cover_charpoly"] == lazy
 
     def test_batch_read_sets_are_the_checks_that_read_every_graph(self):
         # Run each check alone over the n = 3 classes on fresh facts: the
@@ -355,7 +384,8 @@ class TestSharedWork:
         graphs = [digraph_from_bits(3, mask) for mask in orbit_classes(3)[0]]
         cached = {}
         for name, check in THEOREM_CHECKS.items():
-            cached[name] = {"charpoly", "verified_spectrum", "complement"}
+            cached[name] = {"charpoly", "verified_spectrum", "cycle_cover_charpoly",
+                            "complement"}
             for d in graphs:
                 facts = GraphFacts(d)
                 check(facts)
@@ -366,6 +396,8 @@ class TestSharedWork:
                 if "charpoly" in fields} == sweep_module._READ_CHARPOLY
         assert {name for name, fields in cached.items()
                 if "verified_spectrum" in fields} == sweep_module._READ_ROOTS
+        assert {name for name, fields in cached.items()
+                if "cycle_cover_charpoly" in fields} == sweep_module._READ_CYCLE_COVERS
         assert {name for name, fields in cached.items()
                 if "complement" in fields} == sweep_module._READ_COMPLEMENT
 
@@ -382,6 +414,18 @@ class TestSharedWork:
                 comp = linalg.adjacency(sweep_module.complement(digraph_from_bits(n, mask)))
                 assert matrix.tolist() == comp.tolist()
                 assert repr(spectrum) == repr(linalg.eigenvalues(comp, with_residuals=False))
+
+    def test_adjacency_stack_is_the_adjacency_of_each_bit_pattern(self):
+        # Both charpoly routes of a sweep read this stack.  Every class with
+        # n <= 4, and seeded patterns of 49, 64 and 81 bits at n = 7, 8, 9.
+        cases = [(n, orbit_classes(n)[0]) for n in range(1, 5)]
+        cases += [(n, [sweep_module._sample_mask(n, 0.5, p, seed)
+                       for seed, p in enumerate([0.0, 0.5, 1.0] * 20)]) for n in (7, 8, 9)]
+        for n, masks in cases:
+            stack = sweep_module._adjacency_stack(n, masks)
+            assert stack.shape == (len(masks), n, n)
+            for mask, matrix in zip(masks, stack):
+                assert matrix.tolist() == linalg.adjacency(digraph_from_bits(n, mask)).tolist()
 
     def test_adjacency_stack_past_64_bits(self):
         # At n = 9 a bit pattern has 81 bits.
