@@ -353,8 +353,10 @@ def certain_passes(n: int, adj: np.ndarray, spectra: Sequence[Spectrum | Excepti
     rhs - lhs > ``certain_margin(n, tol)`` max(1, |rhs|).  The certifier
     would then pass it without the exact-root re-check and without
     equality, so a caller may tally the pass without running it.  Every
-    other row (near or inside the re-check band, violated, with a failed
-    spectrum, or ``rho_upper`` at n = 1) is left to the certifier.  The
+    other row (near or inside the re-check band, violated, or with a
+    failed spectrum) is left to the certifier.  At n = 1 the spectrum is
+    sigma exactly and every certificate is an equality, so no row is
+    marked, not even for ``rho_upper``, which is undefined there.  The
     count sides come from the certifiers' own table, evaluated on int64
     arrays, so they equal the certifiers' values to the bit.  The spectral
     sides add their n nonnegative terms with ``np.sum`` where the
@@ -385,7 +387,5 @@ def certain_passes(n: int, adj: np.ndarray, spectra: Sequence[Spectrum | Excepti
             ok &= rhs - lhs > margin * np.maximum(1.0, np.abs(rhs))
         return ok
 
-    passes = {certify.__name__: clear(ids) for certify, ids in _CERTIFIERS
-              if spectral.keys() >= set(ids)}
-    passes["rho_upper"] &= n >= 2
-    return passes
+    return {certify.__name__: clear(ids) for certify, ids in _CERTIFIERS
+            if spectral.keys() >= set(ids)}

@@ -34,7 +34,7 @@ from typing import Any
 
 from . import __version__, bounds, decomposition
 from .errors import CounterexampleError, FormatError, LoopspecError, NoConvergence
-from .sweep import sweep as run_sweep
+from .sweep import MAX_EXHAUSTIVE_ORDER, sweep as run_sweep
 from .formats import load_path, loads, to_json_dict
 from .graphs import FAMILIES, complement, generate
 from .scc import non_cycle_arcs
@@ -274,6 +274,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     theorems = [tok.strip() for tok in args.theorems.split(",")] if args.theorems else ["all"]
+    if args.samples is None and args.n > MAX_EXHAUSTIVE_ORDER:
+        print(f"exhaustive enumeration capped at n = {MAX_EXHAUSTIVE_ORDER}; "
+              "use --samples", file=sys.stderr)
+        return EXIT_USAGE
     if args.samples is None and args.n >= 5 and not args.exhaustive:
         print("exhaustive n = 5 checks 291,968 relabeling classes standing for "
               "33.5M graphs: about a minute for two checks, longer for all; "

@@ -127,10 +127,6 @@ class CharPoly:
 
     coeffs: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs)
-
     def full(self) -> tuple[int, ...]:
         """All coefficients ascending, leading 1 included."""
         return self.coeffs + (1,)

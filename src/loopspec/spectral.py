@@ -67,9 +67,9 @@ class GraphFacts:
     Everything is derived from the immutable graph, so instances are safe
     to share.  ``with_residuals=False`` skips eigenvalue backward-error
     estimates, which bulk sweeps do not need.  ``known`` presets cached
-    fields (``spectrum``, ``charpoly``, ``verified_spectrum``,
-    ``cycle_cover_charpoly``) computed elsewhere, as a sweep computes them
-    for a chunk of graphs at once;
+    fields computed elsewhere, as a sweep's batch stage computes a stack's
+    spectra for every graph and each other stacked field for the graphs
+    whose selected checks read it;
     ``complement`` presets those of ``complement_facts`` in the same way.
     ``table`` maps digraphs to the facts that ``derived`` returns for
     them; without one, the facts start a table of their own.

@@ -21,18 +21,15 @@ stacks of adjacency matrices.  From them ``bounds.certain_passes``
 decides, in numpy, every certificate check on a graph's own spectrum
 that certainly passes without equality; such a check is tallied as a
 pass without running, and a graph whose selected checks are all decided
-builds no facts at all.  The graphs that such a check leaves undecided,
-which are the ones whose certificates may ask for exact roots, get their
-exact charpolys and roots from one batch call per stack; so does every
-graph when a selected check reads them on every graph.  When a selected
-check reads the complement's spectrum on every graph, the stack of
-complements gets its spectra from one more stacked call.  When the
-cycle-cover oracle is selected and n <= 8, one call per stack of
-``linalg.linear_subdigraph_charpoly_many`` counts every graph's cycle
-covers.  Each graph's ``GraphFacts`` starts with these fields filled,
-and a complement's with its spectrum.  A graph whose batch row fails
-gets the field unfilled, so its own lazy call raises at the same point
-of the check order as it would alone, and only if the sweep reaches it.
+builds no facts at all.  One rule then fills each other stacked field
+(the complement's spectrum, the cycle-cover charpoly, the exact charpoly
+and its roots) with one call per stack: on every graph when a selected
+check reads it on every graph, else on the graphs left undecided when
+their certificates' exact-root re-check reads it.  Each graph's
+``GraphFacts`` starts with these fields filled.  A graph whose batch row
+fails gets the field unfilled, so its own lazy call raises at the same
+point of the check order as it would alone, and only if the sweep
+reaches it.
 
 The graphs of a chunk share one facts table (see ``spectral``), keyed by
 the exact labeled digraph: each distinct strong component of order 4 or
@@ -510,15 +507,26 @@ def _adjacency_stack(n: int, masks: Sequence[int]) -> np.ndarray:
                          bitorder="little").reshape(len(masks), n, n)
 
 
-# Checks that read the exact charpoly, its roots, the cycle-cover charpoly,
-# and the complement's spectrum, of every graph.  The regular-complement
-# checks read the complement's spectrum of regular graphs only, so they get
-# the preset when another check has the stack built, and compute their own
-# otherwise.
-_READ_CHARPOLY = frozenset({"charpoly_invariance", "oracle_charpoly", "oracle_roots"})
-_READ_ROOTS = frozenset({"oracle_roots"})
-_READ_CYCLE_COVERS = frozenset({"oracle_charpoly"})
-_READ_COMPLEMENT = frozenset({"complement_rho_sum", "complement_energy_sum"})
+# One row per GraphFacts field that the batch stage fills on a stack: the
+# field, the checks that read it on every graph, whether an undecided
+# certificate's exact-root re-check reads it, the field its kernel reads
+# per graph (None: the adjacency matrix), and the kernel, one call per
+# stack.  The regular-complement checks read the complement's spectrum of
+# regular graphs only, so they get the preset when another check has the
+# stack built, and compute their own otherwise.  Each kernel names its
+# call when it runs, so that whatever is bound to the name then (a
+# counting wrapper, say) sees the call.
+_PRESETS = (
+    ("complement", frozenset({"complement_rho_sum", "complement_energy_sum"}), False, None,
+     lambda adj: [s if isinstance(s, LoopspecError) else {"spectrum": s}
+                  for s in eigenvalues_many(_complement_stack(adj), with_residuals=False)]),
+    ("cycle_cover_charpoly", frozenset({"oracle_charpoly"}), False, None,
+     lambda adj: linear_subdigraph_charpoly_many(adj)),
+    ("charpoly", frozenset({"charpoly_invariance", "oracle_charpoly", "oracle_roots"}),
+     True, None, lambda adj: char_poly_exact_many(adj)),
+    ("verified_spectrum", frozenset({"oracle_roots"}), True, "charpoly",
+     lambda charpolys: poly_roots_many(charpolys)),
+)
 _STACK = 256   # graphs per stack of the batch stage; bounds the memory it holds
 
 
@@ -529,15 +537,15 @@ def _batch_facts(n: int, masks: Sequence[int],
     of up to _STACK graphs as the chunk's checks reach them.
 
     Every stack gets its spectra, and ``bounds.certain_passes`` decides
-    the certificate checks it can from them.  A graph that some such check
-    leaves undecided gets its exact charpoly and roots, which that
-    check's re-check may read; so does every graph when a selected check
-    reads them on every graph.  When a selected check reads the
-    complement's spectrum on every graph, every graph gets it as
-    ``complement``, the preset of its complement's facts; when one reads
-    the cycle-cover charpoly, every graph gets it.  A graph whose
-    computation fails gets no field, so that its own lazy call raises the
-    error at the point of the check order where it always did."""
+    the certificate checks it can from them.  Then one rule fills each
+    field of _PRESETS: on every graph when a selected check reads it on
+    every graph, else on the graphs that some certificate check leaves
+    undecided when their exact-root re-check reads it, else on none; a
+    field computed from another goes only to the graphs that got that
+    one.  A kernel that fails for the whole stack fills nothing, and a
+    graph whose own result is an error gets no field, so that its own
+    lazy call raises the error at the point of the check order where it
+    always did."""
     reads = set(theorems)
     if n > MAX_ENUMERATION_ORDER:
         reads.discard("oracle_charpoly")   # "na" on every graph: it reads nothing
@@ -547,14 +555,6 @@ def _batch_facts(n: int, masks: Sequence[int],
         adj = _adjacency_stack(n, masks[lo:lo + _STACK])
         spectra = eigenvalues_many(adj, with_residuals=False)
         known = [{} if isinstance(s, LoopspecError) else {"spectrum": s} for s in spectra]
-        if _READ_COMPLEMENT.intersection(reads):
-            for row, s in zip(known, eigenvalues_many(_complement_stack(adj),
-                                                      with_residuals=False)):
-                if not isinstance(s, LoopspecError):
-                    row["complement"] = {"spectrum": s}
-        if _READ_CYCLE_COVERS.intersection(reads):
-            for row, p in zip(known, linear_subdigraph_charpoly_many(adj)):
-                row["cycle_cover_charpoly"] = p
         decided = [frozenset()] * len(adj)
         columns = []
         if certified:
@@ -564,9 +564,20 @@ def _batch_facts(n: int, masks: Sequence[int],
             decided = [frozenset(name for name, column in columns if column[i])
                        for i in range(len(adj))]
         undecided = [i for i, names in enumerate(decided) if len(names) < len(columns)]
-        every = range(len(adj))
-        _preset_exact(adj, known, every if _READ_CHARPOLY.intersection(reads) else undecided,
-                      every if _READ_ROOTS.intersection(reads) else undecided)
+        for field, readers, recheck, source, kernel in _PRESETS:
+            rows = range(len(adj)) if readers & reads else undecided if recheck else []
+            if source is not None:
+                rows = [i for i in rows if source in known[i]]
+            if not rows:
+                continue
+            try:
+                values = kernel(adj[list(rows)] if source is None
+                                else [known[i][source] for i in rows])
+            except LoopspecError:
+                continue   # past the kernel's size cap: each graph raises on its own
+            for i, value in zip(rows, values):
+                if not isinstance(value, LoopspecError):
+                    known[i][field] = value
         yield from zip(decided, known)
 
 
@@ -575,25 +586,6 @@ def _complement_stack(adj: np.ndarray) -> np.ndarray:
     ``graphs.complement`` makes them: J - A - delta I."""
     delta = delta_sigma(adj.trace(axis1=1, axis2=2))
     return 1 - adj - delta[:, None, None] * np.eye(adj.shape[1], dtype=np.int64)
-
-
-def _preset_exact(adj: np.ndarray, known: list[dict], charpoly_rows: Sequence[int],
-                  root_rows: Sequence[int]) -> None:
-    """Add to ``known`` the exact charpolys of the stack rows
-    ``charpoly_rows`` and the roots of ``root_rows``, a subset of them;
-    each from one batch call."""
-    if not charpoly_rows:
-        return
-    try:
-        charpolys = dict(zip(charpoly_rows, char_poly_exact_many(adj[list(charpoly_rows)])))
-    except LoopspecError:
-        return   # beyond the exact size cap: each graph raises on its own
-    for i, charpoly in charpolys.items():
-        known[i]["charpoly"] = charpoly
-    if root_rows:
-        for i, roots in zip(root_rows, poly_roots_many([charpolys[i] for i in root_rows])):
-            if not isinstance(roots, LoopspecError):
-                known[i]["verified_spectrum"] = roots
 
 
 def _run_chunk(args: tuple) -> SweepReport:

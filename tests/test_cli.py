@@ -207,6 +207,14 @@ class TestSweepCommand:
         assert code == 1
         assert "--exhaustive" in err
 
+    @pytest.mark.parametrize("opt_in", [[], ["--exhaustive"]], ids=["plain", "exhaustive"])
+    def test_exhaustive_past_the_cap_points_to_samples(self, capsys, opt_in):
+        # n = 6 gets the cap and the --samples hint, not the n = 5 opt-in
+        # advice, which would only lead to the cap.
+        code, out, err = run(capsys, "sweep", "--n", "6", "--theorems", "perron", *opt_in)
+        assert (code, out) == (1, "")
+        assert err == "exhaustive enumeration capped at n = 5; use --samples\n"
+
     def test_jobs_out_of_range(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")

@@ -379,27 +379,45 @@ class TestSharedWork:
 
     def test_batch_read_sets_are_the_checks_that_read_every_graph(self):
         # Run each check alone over the n = 3 classes on fresh facts: the
-        # fields it left cached on every graph are the ones it read.  The
-        # complement's spectrum counts as the field "complement".
+        # fields it left cached on every graph are the ones it read, and a
+        # field that an array-decided certificate check left on any graph
+        # is one its exact-root re-check reads.  A field cached on a graph
+        # comes with the field its kernel reads.  The complement's
+        # spectrum counts as the field "complement".
         graphs = [digraph_from_bits(3, mask) for mask in orbit_classes(3)[0]]
+        presets = {field: (readers, recheck, source)
+                   for field, readers, recheck, source, _ in sweep_module._PRESETS}
+        assert presets.keys() == {"charpoly", "verified_spectrum", "cycle_cover_charpoly",
+                                  "complement"}
         cached = {}
+        rechecked = set()
         for name, check in THEOREM_CHECKS.items():
-            cached[name] = {"charpoly", "verified_spectrum", "cycle_cover_charpoly",
-                            "complement"}
+            cached[name] = set(presets)
             for d in graphs:
                 facts = GraphFacts(d)
                 check(facts)
                 comp = vars(facts).get("complement_facts")
-                cached[name] &= vars(facts).keys() | (
-                    {"complement"} if comp and "spectrum" in vars(comp) else set())
-        assert {name for name, fields in cached.items()
-                if "charpoly" in fields} == sweep_module._READ_CHARPOLY
-        assert {name for name, fields in cached.items()
-                if "verified_spectrum" in fields} == sweep_module._READ_ROOTS
-        assert {name for name, fields in cached.items()
-                if "cycle_cover_charpoly" in fields} == sweep_module._READ_CYCLE_COVERS
-        assert {name for name, fields in cached.items()
-                if "complement" in fields} == sweep_module._READ_COMPLEMENT
+                fields = presets.keys() & (vars(facts).keys() | (
+                    {"complement"} if comp and "spectrum" in vars(comp) else set()))
+                cached[name] &= fields
+                if name in ARRAY5:
+                    rechecked |= fields
+                assert all(source in fields for field, (_, _, source) in presets.items()
+                           if source is not None and field in fields)
+        assert {field: readers for field, (readers, _, _) in presets.items()} == {
+            field: {name for name, fields in cached.items() if field in fields}
+            for field in presets}
+        assert {field for field, (_, recheck, _) in presets.items() if recheck} == rechecked
+        assert {field: source for field, (_, _, source) in presets.items() if source} == {
+            "verified_spectrum": "charpoly"}
+
+    @pytest.mark.parametrize("theorems", [["charpoly_invariance"], ["oracle_roots"]])
+    def test_batch_fills_nothing_past_a_kernels_size_cap(self, theorems):
+        # Past n = 64 the exact charpoly stack raises SizeLimit as a whole:
+        # no graph gets a charpoly, and so none gets its roots.
+        masks = [sweep_module._sample_mask(65, 0.05, 0.5, seed) for seed in range(2)]
+        fields = [sorted(known) for _, known in sweep_module._batch_facts(65, masks, theorems)]
+        assert fields == [["spectrum"]] * 2
 
     def test_complement_stack_matches_the_complements(self):
         # Every n = 3 class and 48 seeded n = 7 samples, with and without
@@ -522,7 +540,7 @@ class TestArrayPass:
         decided_pairs = open_pairs = 0
         for n, masks in stacks:
             for mask, (decided, _) in zip(masks, sweep_module._batch_facts(n, masks, ARRAY5)):
-                assert n > 1 or "rho_upper" not in decided
+                assert n > 1 or not decided   # every n = 1 certificate is an equality
                 decided_pairs += len(decided)
                 open_pairs += len(ARRAY5) - len(decided)
                 facts = GraphFacts(digraph_from_bits(n, mask))

@@ -230,8 +230,19 @@ def test_import_guard_sees_fractions():
     assert imported_modules(source) == {"math", "fractions"}
 
 
+def test_import_guard_sees_sympy():
+    # Also inside a function, where an optional import would sit.
+    source = "import sympy.polys as p\ndef f():\n    from sympy import Poly\n"
+    assert imported_modules(source) == {"sympy"}
+    assert imported_modules("def f():\n    import sympy\n") == {"sympy"}
+
+
+# Every count side and ratio side is an exact integer, read through at most
+# one correctly rounded division, so no module needs a rational type; exact
+# algebra beyond that belongs to the bench's independent checks.
+FORBIDDEN_IMPORTS = {"fractions", "sympy"}
+
+
 @pytest.mark.parametrize("module", sorted(path.name for path in SOURCE.glob("*.py")))
 def test_count_sides_use_no_fractions(module):
-    # Every count side and ratio side is an exact integer, read through at
-    # most one correctly rounded division, so no module needs a rational type.
-    assert "fractions" not in imported_modules((SOURCE / module).read_text())
+    assert not FORBIDDEN_IMPORTS & imported_modules((SOURCE / module).read_text())
