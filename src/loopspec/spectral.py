@@ -69,7 +69,8 @@ class GraphFacts:
     estimates, which bulk sweeps do not need.  ``known`` presets cached
     fields computed elsewhere, as a sweep's batch stage computes a stack's
     spectra for every graph and each other stacked field for the graphs
-    whose selected checks read it;
+    whose selected checks read it.  A preset ``spectrum`` may be the QR
+    values of another graph with the same characteristic polynomial;
     ``complement`` presets those of ``complement_facts`` in the same way.
     ``table`` maps digraphs to the facts that ``derived`` returns for
     them; without one, the facts start a table of their own.

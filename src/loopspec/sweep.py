@@ -25,18 +25,25 @@ builds no facts at all.  One rule then fills each other stacked field
 (the complement's spectrum, the cycle-cover charpoly, the exact charpoly
 and its roots) with one call per stack: on every graph when a selected
 check reads it on every graph, else on the graphs left undecided when
-their certificates' exact-root re-check reads it.  Each graph's
-``GraphFacts`` starts with these fields filled.  A graph whose batch row
-fails gets the field unfilled, so its own lazy call raises at the same
-point of the check order as it would alone, and only if the sweep
-reaches it.
+their certificates' exact-root re-check reads it.  The spectrum and the
+exact roots are functions of the characteristic polynomial, so at the
+enumerated orders (n <= MAX_EXHAUSTIVE_ORDER) the stage computes each of
+the two once per distinct charpoly in the chunk, on its first graph,
+with every graph's charpoly first when the spectrum is keyed.  A
+graph's preset spectrum may then be the QR values of another graph with
+the same charpoly; only when ``oracle_roots`` or ``trace_identities``,
+which test the QR route on each graph, is selected does every graph get
+its own.  Each graph's ``GraphFacts`` starts with these fields filled.
+A graph whose batch row fails, or whose charpoly's first graph failed,
+gets the field unfilled, so its own lazy call raises at the same point
+of the check order as it would alone, and only if the sweep reaches it.
 
 The graphs of a chunk share one facts table (see ``spectral``), keyed by
 the exact labeled digraph: each distinct strong component of order 4 or
 less, and each such loopless form that the loop-shift check compares
-with, is analysed once per chunk, however many graphs contain it.  The
-table lives as long as its chunk, so every chunk, in whatever process,
-computes the same values.
+with, is analysed once per chunk, however many graphs contain it.  This
+table and the charpoly-keyed ones live as long as their chunk, so a
+chunk's values do not depend on the process that checks it.
 
 A failed check is a counterexample to a published statement; the sweep
 stops, serializes the witness graph, and the report carries it.  A sweep
@@ -342,8 +349,12 @@ def resolve_theorems(names: Sequence[str] | str) -> list[str]:
 def _census_signature(facts: GraphFacts) -> str:
     """Sorted (out, in, loop) degree triples plus the exact charpoly.
 
-    Relabelings share a signature; distinct structures essentially never
-    collide at these orders.
+    Relabelings share a signature, and so do some graphs that are not
+    relabelings of each other.  At n = 4 the 124 classes with a rho_lower
+    equality have 122 signatures: the diamond 2->0, 2->1, 0->3, 1->3 shares
+    one with 1->2, 2->0, 0->3, 1->3, and their fully looped forms share
+    another, so the census keeps only the first of each pair.  ROADMAP
+    item 6 replaces the signature with an exact class key.
     """
     prof = degrees(facts.d)
     triples = sorted(zip(prof.out_deg, prof.in_deg,
@@ -527,6 +538,17 @@ _PRESETS = (
     ("verified_spectrum", frozenset({"oracle_roots"}), True, "charpoly",
      lambda charpolys: poly_roots_many(charpolys)),
 )
+# The stacked fields that are functions of the exact charpoly, each with
+# the checks that test every graph's own value of it.  Up to order
+# MAX_EXHAUSTIVE_ORDER the graphs of a chunk with equal charpolys share
+# one value of such a field, unless one of its checks is selected.
+_BY_CHARPOLY = {
+    "spectrum": frozenset({"oracle_roots", "trace_identities"}),
+    "verified_spectrum": frozenset(),
+}
+# field -> (the field its kernel reads, the kernel), for every stacked field
+_KERNELS = {"spectrum": (None, lambda adj: eigenvalues_many(adj, with_residuals=False)),
+            **{field: (source, kernel) for field, _, _, source, kernel in _PRESETS}}
 _STACK = 256   # graphs per stack of the batch stage; bounds the memory it holds
 
 
@@ -542,43 +564,73 @@ def _batch_facts(n: int, masks: Sequence[int],
     every graph, else on the graphs that some certificate check leaves
     undecided when their exact-root re-check reads it, else on none; a
     field computed from another goes only to the graphs that got that
-    one.  A kernel that fails for the whole stack fills nothing, and a
-    graph whose own result is an error gets no field, so that its own
-    lazy call raises the error at the point of the check order where it
-    always did."""
+    one.  Up to order MAX_EXHAUSTIVE_ORDER the fields of _BY_CHARPOLY are
+    keyed by the exact charpoly: the chunk computes each once per
+    distinct charpoly, on its first graph, and gives it to every graph
+    with that charpoly; when the spectrum is keyed, every graph gets its
+    charpoly before its spectrum.  So a preset spectrum may be the QR
+    values of another graph with the same charpoly.  A kernel that fails
+    for the whole stack fills nothing, and a graph whose result is an
+    error, its own or its key's, gets no field, so that its own lazy call
+    raises the error at the point of the check order where it always
+    did."""
     reads = set(theorems)
     if n > MAX_ENUMERATION_ORDER:
         reads.discard("oracle_charpoly")   # "na" on every graph: it reads nothing
     certified = [(name, THEOREM_CHECKS[name].bound) for name in theorems
                  if hasattr(THEOREM_CHECKS[name], "bound")]
+    # keyed field -> charpoly coefficients -> value or error, for the chunk
+    shared = ({field: {} for field, own in _BY_CHARPOLY.items() if not own & reads}
+              if n <= MAX_EXHAUSTIVE_ORDER else {})
     for lo in range(0, len(masks), _STACK):
         adj = _adjacency_stack(n, masks[lo:lo + _STACK])
-        spectra = eigenvalues_many(adj, with_residuals=False)
-        known = [{} if isinstance(s, LoopspecError) else {"spectrum": s} for s in spectra]
+        known = [{} for _ in adj]
+        every = range(len(adj))
+        if "spectrum" in shared:
+            _fill("charpoly", every, adj, known, shared)
+        _fill("spectrum", every, adj, known, shared)
         decided = [frozenset()] * len(adj)
         columns = []
         if certified:
+            spectra = [row.get("spectrum") for row in known]
             passes = bounds.certain_passes(n, adj, spectra, equality_tol())
             columns = [(name, passes[bound].tolist()) for name, bound in certified
                        if bound in passes]
             decided = [frozenset(name for name, column in columns if column[i])
-                       for i in range(len(adj))]
+                       for i in every]
         undecided = [i for i, names in enumerate(decided) if len(names) < len(columns)]
-        for field, readers, recheck, source, kernel in _PRESETS:
-            rows = range(len(adj)) if readers & reads else undecided if recheck else []
-            if source is not None:
-                rows = [i for i in rows if source in known[i]]
-            if not rows:
-                continue
-            try:
-                values = kernel(adj[list(rows)] if source is None
-                                else [known[i][source] for i in rows])
-            except LoopspecError:
-                continue   # past the kernel's size cap: each graph raises on its own
-            for i, value in zip(rows, values):
-                if not isinstance(value, LoopspecError):
-                    known[i][field] = value
+        for field, readers, recheck, _, _ in _PRESETS:
+            _fill(field, every if readers & reads else undecided if recheck else (),
+                  adj, known, shared)
         yield from zip(decided, known)
+
+
+def _fill(field: str, rows: Iterable[int], adj: np.ndarray, known: list[dict],
+          shared: dict) -> None:
+    """Set ``field`` in ``known[i]`` for each of ``rows`` that lacks it and
+    has its kernel's source field, with one kernel call on the stack
+    ``adj``.  A field in ``shared`` is keyed by the charpoly: the call
+    covers only the first row of each charpoly that its table lacks, and
+    every row takes its key's entry."""
+    source, kernel = _KERNELS[field]
+    rows = [i for i in rows if field not in known[i] and (source is None or source in known[i])]
+    keyed = field in shared
+    keys = [known[i]["charpoly"].coeffs for i in rows] if keyed else rows
+    table = shared[field] if keyed else {}
+    first: dict = {}   # each key the table lacks -> the row that computes it
+    for i, key in zip(rows, keys):
+        if key not in table:
+            first.setdefault(key, i)
+    if first:
+        todo = list(first.values())
+        try:
+            values = kernel(adj[todo] if source is None else [known[i][source] for i in todo])
+        except LoopspecError:
+            return   # past the kernel's size cap: each graph raises on its own
+        table.update(zip(first, values))
+    for i, key in zip(rows, keys):
+        if not isinstance(table[key], LoopspecError):
+            known[i][field] = table[key]
 
 
 def _complement_stack(adj: np.ndarray) -> np.ndarray:
@@ -672,8 +724,11 @@ def sweep(n: int,
     weighted by its orbit size.  With ``samples`` it checks that many
     seeded random graphs instead.  Either way ``jobs`` worker processes
     share the chunks, which merge in order, so every ``jobs`` value gives
-    the serial report.  The sweep stops at the first counterexample and
-    serializes the witness in the report.
+    the serial report, but for the last digits of the floats in a
+    counterexample's detail: its spectrum may come from the first graph
+    with its charpoly in its chunk, and the chunks depend on ``jobs``.
+    The sweep stops at the first counterexample and serializes the
+    witness in the report.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, not {n}")

@@ -567,6 +567,18 @@ class TestBatchKernels:
             scale = max(1.0, max(abs(z) for z in reference))
             assert matching_distance(roots, reference) <= ABERTH_RTOL * scale
 
+    def test_repeated_polynomials_equal_one_polynomial_calls(self):
+        # The charpolys of every class with n <= 4, in class order, repeat
+        # (32 distinct of 104 at n = 3, 333 of 3,044 at n = 4): each row of
+        # one call is its polynomial's own call, to the bit, so a batch may
+        # compute each distinct polynomial once.
+        for n in (3, 4):
+            polys = char_poly_exact_many(_stack(
+                digraph_from_bits(n, mask) for mask in orbit_classes(n)[0]))
+            alone = {p: repr(poly_roots(p)) for p in polys}
+            assert len(alone) < len(polys)
+            assert [repr(s) for s in poly_roots_many(polys)] == [alone[p] for p in polys]
+
     def test_close_pair_converges_in_a_batch(self):
         # The coefficients of test_close_real_roots_converge, next to a
         # quadratic that converges sooner.

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import json
 
 import pytest
 
@@ -21,6 +22,7 @@ from loopspec.sweep import (CheckOutcome, THEOREM_CHECKS, _census_signature,
 from loopspec.tolerances import equality_tol
 from digraph_helpers import iterate_all
 from mcclelland_witness import is_triangle_plus_looped_vertex
+from test_acceptance import CRITERION_3_CHECKS
 from test_golden import ARRAY5, N7_SEEDS
 
 
@@ -286,14 +288,18 @@ class TestSharedWork:
                             "complement": 2}
 
     def test_batch_fills_spectra_and_exact_roots_only_when_read(self, monkeypatch):
-        # Two graphs in one chunk: their spectra come from one stacked
-        # call, and the exact charpolys and roots only with oracle_roots,
-        # or on a graph whose certificate check the arrays leave open.
-        # The complements' spectra come from one more stacked call exactly
-        # when a selected check reads them on every graph, and so do the
-        # cycle-cover charpolys.  A loop with an arc (0b0011)
-        # clears every such bound, so in the census it gets no charpoly;
-        # the loopless digon (0b0110) attains every one.
+        # Three graphs in one chunk.  Up to n = 5 the spectra are keyed by
+        # the exact charpoly: one stacked charpoly call, then one stacked
+        # QR call on the first graph of each charpoly, unless a selected
+        # check tests every graph's own QR values.  A loop with an arc
+        # (0b0011) and its transpose (0b0101) share x^2 - x; the loopless
+        # digon (0b0110) has x^2 - 1.  The exact roots come only with
+        # oracle_roots, or on a graph whose certificate check the arrays
+        # leave open, once per charpoly.  The complements' spectra come
+        # from one more stacked call exactly when a selected check reads
+        # them on every graph, and so do the cycle-cover charpolys.  A loop
+        # with an arc clears every such bound, so in the census it gets no
+        # roots; the digon attains every one.
         stacks = collections.Counter()
 
         def counted(name):
@@ -307,38 +313,58 @@ class TestSharedWork:
         for name in ("eigenvalues_many", "char_poly_exact_many", "poly_roots_many",
                      "linear_subdigraph_charpoly_many"):
             counted(name)
-        masks = [0b0011, 0b0110]
+        masks = [0b0011, 0b0110, 0b0101]
 
         def batch(theorems, n=2):
             return [(sorted(decided), sorted(known)) for decided, known
                     in sweep_module._batch_facts(n, masks, theorems)]
 
         assert batch(["mcclelland", "rho_lower"]) == [
-            (["mcclelland", "rho_lower"], ["spectrum"]),
-            ([], ["charpoly", "spectrum", "verified_spectrum"])]
-        assert stacks == {("eigenvalues_many", 2): 1, ("char_poly_exact_many", 1): 1,
+            (["mcclelland", "rho_lower"], ["charpoly", "spectrum"]),
+            ([], ["charpoly", "spectrum", "verified_spectrum"]),
+            (["mcclelland", "rho_lower"], ["charpoly", "spectrum"])]
+        assert stacks == {("char_poly_exact_many", 3): 1, ("eigenvalues_many", 2): 1,
                           ("poly_roots_many", 1): 1}
         stacks.clear()
-        assert batch(["charpoly_invariance"]) == [([], ["charpoly", "spectrum"])] * 2
-        assert stacks == {("eigenvalues_many", 2): 1, ("char_poly_exact_many", 2): 1}
+        assert batch(["charpoly_invariance"]) == [([], ["charpoly", "spectrum"])] * 3
+        assert stacks == {("char_poly_exact_many", 3): 1, ("eigenvalues_many", 2): 1}
+        stacks.clear()
+        # The stack's keys carry over to the next stack of the chunk.
+        with monkeypatch.context() as patched:
+            patched.setattr(sweep_module, "_STACK", 1)
+            batch(["charpoly_invariance"])
+            assert stacks == {("char_poly_exact_many", 1): 3, ("eigenvalues_many", 1): 2}
+        stacks.clear()
+        # A check of every graph's own QR values turns the spectra's key off.
+        assert batch(["trace_identities"]) == [([], ["spectrum"])] * 3
+        assert stacks == {("eigenvalues_many", 3): 1}
+        stacks.clear()
+        assert batch(["oracle_roots"]) == [
+            ([], ["charpoly", "spectrum", "verified_spectrum"])] * 3
+        assert stacks == {("eigenvalues_many", 3): 1, ("char_poly_exact_many", 3): 1,
+                          ("poly_roots_many", 2): 1}
         stacks.clear()
         for name in ("complement_rho_sum", "complement_energy_sum"):
-            assert batch([name]) == [([], ["complement", "spectrum"])] * 2
-            assert stacks == {("eigenvalues_many", 2): 2}
+            assert batch([name]) == [([], ["charpoly", "complement", "spectrum"])] * 3
+            assert stacks == {("char_poly_exact_many", 3): 1, ("eigenvalues_many", 2): 1,
+                              ("eigenvalues_many", 3): 1}
             stacks.clear()
         # The regular-complement checks alone build no complement stack.
         for name in ("regular_complement_spectrum", "regular_energy_sum"):
-            assert batch([name]) == [([], ["spectrum"])] * 2
-            assert stacks == {("eigenvalues_many", 2): 1}
+            assert batch([name]) == [([], ["charpoly", "spectrum"])] * 3
+            assert stacks == {("char_poly_exact_many", 3): 1, ("eigenvalues_many", 2): 1}
             stacks.clear()
         everything = list(sweep_module._batch_facts(2, masks, resolve_theorems("all")))
         assert [sorted(decided) for decided, _ in everything] == [
-            ["energy_lower_c2", "mcclelland", "power_sums", "rho_lower", "rho_upper"], []]
+            ["energy_lower_c2", "mcclelland", "power_sums", "rho_lower", "rho_upper"], [],
+            ["energy_lower_c2", "mcclelland", "power_sums", "rho_lower", "rho_upper"]]
         assert all(sorted(known) == ["charpoly", "complement", "cycle_cover_charpoly",
                                      "spectrum", "verified_spectrum"]
                    for _, known in everything)
-        assert stacks == {("eigenvalues_many", 2): 2, ("char_poly_exact_many", 2): 1,
-                          ("poly_roots_many", 2): 1, ("linear_subdigraph_charpoly_many", 2): 1}
+        # The spectra are each graph's own; the roots are keyed all the same.
+        assert stacks == {("eigenvalues_many", 3): 2, ("char_poly_exact_many", 3): 1,
+                          ("poly_roots_many", 2): 1, ("linear_subdigraph_charpoly_many", 3): 1}
+        assert everything[2][1]["verified_spectrum"] is everything[0][1]["verified_spectrum"]
         stacks.clear()
 
         def cover_calls():   # stack size -> calls of the cycle-cover kernel
@@ -349,9 +375,9 @@ class TestSharedWork:
         # it can enumerate: one cycle-cover call per stack at n = 8, none at
         # n = 9, and none for any other check.
         assert [batch(["oracle_charpoly"], n) for n in (8, 9)] == [
-            [([], ["charpoly", "cycle_cover_charpoly", "spectrum"])] * 2,
-            [([], ["spectrum"])] * 2]
-        assert cover_calls() == {2: 1}
+            [([], ["charpoly", "cycle_cover_charpoly", "spectrum"])] * 3,
+            [([], ["spectrum"])] * 3]
+        assert cover_calls() == {3: 1}
         stacks.clear()
         for name in THEOREM_CHECKS:
             if name != "oracle_charpoly":
@@ -360,7 +386,7 @@ class TestSharedWork:
         with monkeypatch.context() as patched:
             patched.setattr(sweep_module, "_STACK", 1)
             batch(["oracle_charpoly"], 8)
-            assert cover_calls() == {1: 2}
+            assert cover_calls() == {1: 3}
         for mask, (_, known) in zip(masks, everything):
             facts = GraphFacts(digraph_from_bits(2, mask))
             assert known == {"spectrum": facts.spectrum, "charpoly": facts.charpoly,
@@ -410,6 +436,89 @@ class TestSharedWork:
         assert {field for field, (_, recheck, _) in presets.items() if recheck} == rechecked
         assert {field: source for field, (_, _, source) in presets.items() if source} == {
             "verified_spectrum": "charpoly"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("theorems", [["mcclelland", "rho_lower"], ARRAY5,
+                                          CRITERION_3_CHECKS, "all"],
+                             ids=["census", "array5", "criterion3", "all"])
+    def test_keyed_reports_equal_per_graph_reports(self, n, theorems, monkeypatch):
+        # Serially and with two workers, the keyed stage gives the bytes of
+        # a stage where every graph is its own key.
+        def payload(jobs):
+            report = sweep(n, theorems, jobs=jobs).to_json_dict()
+            del report["wall_time"]
+            return json.dumps(report, sort_keys=True)
+
+        keyed = [payload(1), payload(2)]
+        monkeypatch.setattr(sweep_module, "_BY_CHARPOLY", {})
+        assert keyed == [payload(1)] * 2
+
+    @pytest.mark.parametrize("own", ["oracle_roots", "trace_identities"])
+    def test_own_qr_checks_get_each_graphs_own_spectrum(self, own):
+        # Next to the census checks, which alone would share the spectra of
+        # equal charpolys, every graph's preset is its own row of the
+        # stacked QR call.
+        masks = orbit_classes(3)[0]
+        lone = linalg.eigenvalues_many(sweep_module._adjacency_stack(3, masks),
+                                       with_residuals=False)
+        batch = sweep_module._batch_facts(3, masks, ["mcclelland", "rho_lower", own])
+        assert [repr(known["spectrum"]) for _, known in batch] == [repr(s) for s in lone]
+
+    def test_keyed_spectrum_is_the_first_graph_of_its_charpoly(self):
+        # Without those checks each n = 3 class gets the QR values of the
+        # least class with its charpoly, the same object for all of them.
+        masks = orbit_classes(3)[0]
+        lone = linalg.eigenvalues_many(sweep_module._adjacency_stack(3, masks),
+                                       with_residuals=False)
+        first = {}   # charpoly -> its least class's index and preset spectrum
+        for i, (_, known) in enumerate(sweep_module._batch_facts(3, masks, ARRAY5)):
+            j, spectrum = first.setdefault(known["charpoly"], (i, known["spectrum"]))
+            assert known["spectrum"] is spectrum
+            assert repr(spectrum) == repr(lone[j])
+        assert len(first) == 32
+
+    def test_a_keys_failed_spectrum_leaves_all_its_graphs(self, monkeypatch):
+        # The QR call fails on the first graph of x^2 - x: neither graph of
+        # that charpoly gets a spectrum, and the key is not tried again.
+        calls = []
+        real = sweep_module.eigenvalues_many
+
+        def failing(mats, **kwargs):
+            calls.append(len(mats))
+            return [NoConvergence("synthetic") if m.tolist() == [[1, 1], [0, 0]] else s
+                    for m, s in zip(mats, real(mats, **kwargs))]
+
+        monkeypatch.setattr(sweep_module, "eigenvalues_many", failing)
+        monkeypatch.setattr(sweep_module, "_STACK", 1)
+        fields = [sorted(known) for _, known
+                  in sweep_module._batch_facts(2, [0b0011, 0b0110, 0b0101], ["mcclelland"])]
+        # Left undecided, they get their exact roots for the re-check.
+        assert fields == [["charpoly", "verified_spectrum"],
+                          ["charpoly", "spectrum", "verified_spectrum"],
+                          ["charpoly", "verified_spectrum"]]
+        assert calls == [1, 1]
+
+    def test_sampled_orders_keep_each_graphs_own_kernel_calls(self, monkeypatch):
+        # Above MAX_EXHAUSTIVE_ORDER nothing is keyed: a sampled n = 8
+        # census makes the calls of a stage where every graph is its own
+        # key, and no charpoly call for the graphs the arrays decide.
+        calls = collections.Counter()
+        for name in ("eigenvalues_many", "char_poly_exact_many", "poly_roots_many"):
+            real = getattr(sweep_module, name)
+            monkeypatch.setattr(sweep_module, name, lambda mats, _real=real, _name=name, **kw: (
+                calls.update([(_name, len(mats))]) or _real(mats, **kw)))
+
+        def run():
+            calls.clear()
+            report = sweep(8, ["mcclelland", "rho_lower"], samples=600, seed=4)
+            return report.to_json_dict()["checks"], dict(calls)
+
+        keyed = run()
+        assert keyed[1][("eigenvalues_many", 256)] == 2
+        assert sum(size * count for (name, size), count in keyed[1].items()
+                   if name == "char_poly_exact_many") < 600
+        monkeypatch.setattr(sweep_module, "_BY_CHARPOLY", {})
+        assert run() == keyed
 
     @pytest.mark.parametrize("theorems", [["charpoly_invariance"], ["oracle_roots"]])
     def test_batch_fills_nothing_past_a_kernels_size_cap(self, theorems):
