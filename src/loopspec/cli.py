@@ -303,9 +303,13 @@ def _cmd_sweep(args) -> int:
     payload = report.to_json_dict()
     envelope = _report("sweep", None, payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(_round_floats(envelope), handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(_round_floats(envelope), handle, sort_keys=True, indent=2)
+                handle.write("\n")
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     _emit(envelope, args.table)
     if not report.ok:
         for item in report.counterexamples:

@@ -38,6 +38,8 @@ def from_json_dict(obj: Any) -> Digraph:
         raise FormatError(f"graph JSON missing key {exc}") from None
     if not isinstance(n, int) or isinstance(n, bool):
         raise FormatError("n must be an integer")
+    if not isinstance(arcs, list) or not isinstance(loops, list):
+        raise FormatError("arcs and loops must be lists")
     arc_pairs = []
     for item in arcs:
         if (not isinstance(item, (list, tuple)) or len(item) != 2

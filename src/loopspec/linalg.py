@@ -23,13 +23,17 @@ one stacked LAPACK call and polishes each matrix's values,
 ``linear_subdigraph_charpoly_many`` counts the cycle covers of a 0/1
 stack one vertex-set size at a time, and ``poly_roots_many`` runs one
 Aberth iteration over the square-free factors of all its polynomials.
-The one-matrix functions are these kernels on a stack of one, so both
-give the same values.  The Faddeev-LeVerrier products are guarded once
-per stack: before the first one, a bound on the entries of the last
-proves that int64 cannot overflow, and a stack for which it cannot runs
-on numpy object arrays of Python ints throughout.  A batch kernel reports
-a failed matrix or polynomial as its error in place of the result, so one
-failure leaves the rest of the stack.
+The one-matrix functions are these kernels on a stack of one, and give
+the same values, but for one case: ``poly_roots_many`` pads the factors
+to the widest, and from 8 root slots numpy's pairwise summation of the
+Aberth sums regroups, so a polynomial's roots may then differ in their
+last bits with the other polynomials of the call.  The charpolys of
+order 5 or less stay below that width.  The Faddeev-LeVerrier products
+are guarded once per stack: before the first one, a bound on the entries
+of the last proves that int64 cannot overflow, and a stack for which it
+cannot runs on numpy object arrays of Python ints throughout.  A batch
+kernel reports a failed matrix or polynomial as its error in place of
+the result, so one failure leaves the rest of the stack.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ derived data (spectrum, strong components, complement, exact polynomial,
 component analysis) that several consumers would otherwise recompute, once
 per distinct matrix: a strongly connected graph is its own component, and
 a graph whose arcs all lie on cycles is its own pruned form.  Facts share
-one table with the facts of their strong components (and of any other
-graph reached through ``derived``), which the table keeps by exact
-labeled digraph, up to order 4: many graphs that share a small component
-then analyse it once.  A sweep keeps one table per chunk of graphs.
+one table with the facts of their strong components, which the table
+keeps by exact labeled digraph, up to order 4: many graphs that share a
+small component then analyse it once.  A sweep keeps one table per chunk
+of graphs, and presets the fields that its batch stage computes on
+stacks of graphs, the complement's spectrum among them.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ class TraceIdentityReport:
     expected_sum_sq: int
 
 
-# Order of the largest derived graph a facts table keeps.  There are 2**16
+# Order of the largest component a facts table keeps.  There are 2**16
 # labeled digraphs of order 4, and a chunk of graphs repeats them often;
-# a larger component or loopless form is all but never met twice, so
-# keeping its facts would only hold memory.
+# a larger component is all but never met twice, so keeping its facts
+# would only hold memory.
 _TABLE_MAX_ORDER = 4
 
 
@@ -67,28 +68,25 @@ class GraphFacts:
     Everything is derived from the immutable graph, so instances are safe
     to share.  ``with_residuals=False`` skips eigenvalue backward-error
     estimates, which bulk sweeps do not need.  ``known`` presets cached
-    fields computed elsewhere, as a sweep's batch stage computes a stack's
-    spectra for every graph and each other stacked field for the graphs
-    whose selected checks read it.  A preset ``spectrum`` may be the QR
-    values of another graph with the same characteristic polynomial;
-    ``complement`` presets those of ``complement_facts`` in the same way.
-    ``table`` maps digraphs to the facts that ``derived`` returns for
-    them; without one, the facts start a table of their own.
+    fields computed elsewhere, as a sweep's batch stage fills each stacked
+    field for the graphs whose selected checks read it.  A preset
+    ``spectrum`` or ``complement_spectrum`` may be the QR values of
+    another graph with the same characteristic polynomial.  ``table``
+    maps digraphs to the facts that ``derived`` returns for them; without
+    one, the facts start a table of their own.
     """
 
     def __init__(self, d: Digraph, *, with_residuals: bool = False,
-                 table: dict[Digraph, "GraphFacts"] | None = None,
-                 complement: dict | None = None, **known):
+                 table: dict[Digraph, "GraphFacts"] | None = None, **known):
         self.d = d
         self.with_residuals = with_residuals
         self.table = {} if table is None else table
-        self.complement_known = complement or {}
         self.__dict__.update(known)
 
     def derived(self, d: Digraph) -> "GraphFacts":
-        """Facts of a graph derived from this one: the table's entry for
-        ``d``, made on the first request and kept if ``d`` has at most
-        _TABLE_MAX_ORDER vertices."""
+        """Facts of a strong component or other graph derived from this
+        one: the table's entry for ``d``, made on the first request and
+        kept if ``d`` has at most _TABLE_MAX_ORDER vertices."""
         facts = self.table.get(d)
         if facts is None:
             facts = GraphFacts(d, with_residuals=self.with_residuals, table=self.table)
@@ -171,8 +169,11 @@ class GraphFacts:
 
     @cached_property
     def complement_facts(self) -> "GraphFacts":
+        """Facts of the complement, with a preset ``complement_spectrum``
+        as its spectrum."""
+        preset = self.__dict__.get("complement_spectrum")
         return GraphFacts(self.complement_digraph, with_residuals=self.with_residuals,
-                          table=self.table, **self.complement_known)
+                          **({} if preset is None else {"spectrum": preset}))
 
     @cached_property
     def regularity(self):

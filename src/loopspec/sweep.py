@@ -16,32 +16,29 @@ Both modes run the same loop.  An input source yields chunks of (bit
 pattern, weight) pairs; one chunk runner checks each chunk, serially or
 in a worker process, and ``sweep`` merges the chunks in order.
 
-Before any check runs, a batch stage computes the chunk's spectra on
-stacks of adjacency matrices.  From them ``bounds.certain_passes``
-decides, in numpy, every certificate check on a graph's own spectrum
-that certainly passes without equality; such a check is tallied as a
-pass without running, and a graph whose selected checks are all decided
-builds no facts at all.  One rule then fills each other stacked field
-(the complement's spectrum, the cycle-cover charpoly, the exact charpoly
-and its roots) with one call per stack: on every graph when a selected
-check reads it on every graph, else on the graphs left undecided when
-their certificates' exact-root re-check reads it.  The spectrum and the
-exact roots are functions of the characteristic polynomial, so at the
-enumerated orders (n <= MAX_EXHAUSTIVE_ORDER) the stage computes each of
-the two once per distinct charpoly in the chunk, on its first graph,
-with every graph's charpoly first when the spectrum is keyed.  A
-graph's preset spectrum may then be the QR values of another graph with
-the same charpoly; only when ``oracle_roots`` or ``trace_identities``,
-which test the QR route on each graph, is selected does every graph get
-its own.  Each graph's ``GraphFacts`` starts with these fields filled.
-A graph whose batch row fails, or whose charpoly's first graph failed,
-gets the field unfilled, so its own lazy call raises at the same point
-of the check order as it would alone, and only if the sweep reaches it.
+Before any check runs, a batch stage fills ``GraphFacts`` fields on
+stacks of adjacency matrices, one kernel call per field and stack, by one
+rule over one table: the spectrum, the complement's spectrum, the
+cycle-cover charpoly, the exact charpoly and its roots.  Every graph gets
+the fields that a selected check reads on every graph.  From the spectra
+``bounds.certain_passes`` then decides, in numpy, every certificate
+check on a graph's own spectrum that certainly passes without equality;
+such a check is tallied as a pass without running, and a graph whose
+selected checks are all decided builds no facts at all.  The graphs left
+undecided get the fields that their exact-root re-check reads.  The
+spectrum and the exact roots are functions of the characteristic
+polynomial, so at the enumerated orders (n <= MAX_EXHAUSTIVE_ORDER) each
+is computed once per distinct charpoly in the chunk, on its first graph:
+a preset spectrum may be the QR values of another graph with the same
+charpoly, unless ``oracle_roots`` or ``trace_identities``, which test the
+QR route on each graph, is selected.  A graph whose batch row fails, or
+whose charpoly's first graph failed, gets the field unfilled, so its own
+lazy call raises at the same point of the check order as it would alone,
+and only if the sweep reaches it.
 
 The graphs of a chunk share one facts table (see ``spectral``), keyed by
 the exact labeled digraph: each distinct strong component of order 4 or
-less, and each such loopless form that the loop-shift check compares
-with, is analysed once per chunk, however many graphs contain it.  This
+less is analysed once per chunk, however many graphs contain it.  This
 table and the charpoly-keyed ones live as long as their chunk, so a
 chunk's values do not depend on the process that checks it.
 
@@ -299,7 +296,7 @@ def check_loop_shift(facts: GraphFacts) -> CheckOutcome:
     (the no-loop half of the statement is vacuous)."""
     if facts.sigma != facts.n:
         return CheckOutcome("na", "needs sigma = n")
-    bare = facts.derived(facts.d.loopless())
+    bare = GraphFacts(facts.d.loopless(), with_residuals=facts.with_residuals)
     if not agrees(facts.energy_value(), bare.energy_value(), TRACE_TOL * facts.n):
         return CheckOutcome("fail", "full-loop energy differs from loopless energy")
     return CheckOutcome("pass")
@@ -518,37 +515,32 @@ def _adjacency_stack(n: int, masks: Sequence[int]) -> np.ndarray:
                          bitorder="little").reshape(len(masks), n, n)
 
 
-# One row per GraphFacts field that the batch stage fills on a stack: the
-# field, the checks that read it on every graph, whether an undecided
-# certificate's exact-root re-check reads it, the field its kernel reads
-# per graph (None: the adjacency matrix), and the kernel, one call per
-# stack.  The regular-complement checks read the complement's spectrum of
-# regular graphs only, so they get the preset when another check has the
-# stack built, and compute their own otherwise.  Each kernel names its
-# call when it runs, so that whatever is bound to the name then (a
-# counting wrapper, say) sees the call.
-_PRESETS = (
-    ("complement", frozenset({"complement_rho_sum", "complement_energy_sum"}), False, None,
-     lambda adj: [s if isinstance(s, LoopspecError) else {"spectrum": s}
-                  for s in eigenvalues_many(_complement_stack(adj), with_residuals=False)]),
-    ("cycle_cover_charpoly", frozenset({"oracle_charpoly"}), False, None,
-     lambda adj: linear_subdigraph_charpoly_many(adj)),
-    ("charpoly", frozenset({"charpoly_invariance", "oracle_charpoly", "oracle_roots"}),
-     True, None, lambda adj: char_poly_exact_many(adj)),
-    ("verified_spectrum", frozenset({"oracle_roots"}), True, "charpoly",
-     lambda charpolys: poly_roots_many(charpolys)),
-)
-# The stacked fields that are functions of the exact charpoly, each with
-# the checks that test every graph's own value of it.  Up to order
-# MAX_EXHAUSTIVE_ORDER the graphs of a chunk with equal charpolys share
-# one value of such a field, unless one of its checks is selected.
-_BY_CHARPOLY = {
-    "spectrum": frozenset({"oracle_roots", "trace_identities"}),
-    "verified_spectrum": frozenset(),
+# One row per GraphFacts field that the batch stage fills, with one kernel
+# call per stack: field -> (the checks that read it on every graph; whether
+# an undecided certificate's exact-root re-check reads it; the field its
+# kernel reads per graph, None for the adjacency matrix; the checks that
+# test each graph's own value, None for a field that is no function of the
+# charpoly; the kernel).  The regular-complement checks read the
+# complement's spectrum of regular graphs only, so they compute their own
+# unless another check has the stack built.  A kernel names its call when
+# it runs, so that whatever is bound to the name then (a counting wrapper,
+# say) sees the call.
+_PRESETS = {
+    "charpoly": (frozenset({"charpoly_invariance", "oracle_charpoly", "oracle_roots"}),
+                 True, None, None, lambda adj: char_poly_exact_many(adj)),
+    "spectrum": (frozenset(THEOREM_CHECKS) - {
+        "charpoly_invariance", "complement_involution", "oracle_charpoly", "loop_shift",
+        "regular_complement_spectrum", "regular_energy_sum"},
+        False, None, frozenset({"oracle_roots", "trace_identities"}),
+        lambda adj: eigenvalues_many(adj, with_residuals=False)),
+    "complement_spectrum": (
+        frozenset({"complement_rho_sum", "complement_energy_sum"}), False, None, None,
+        lambda adj: eigenvalues_many(_complement_stack(adj), with_residuals=False)),
+    "cycle_cover_charpoly": (frozenset({"oracle_charpoly"}), False, None, None,
+                             lambda adj: linear_subdigraph_charpoly_many(adj)),
+    "verified_spectrum": (frozenset({"oracle_roots"}), True, "charpoly", frozenset(),
+                          lambda charpolys: poly_roots_many(charpolys)),
 }
-# field -> (the field its kernel reads, the kernel), for every stacked field
-_KERNELS = {"spectrum": (None, lambda adj: eigenvalues_many(adj, with_residuals=False)),
-            **{field: (source, kernel) for field, _, _, source, kernel in _PRESETS}}
 _STACK = 256   # graphs per stack of the batch stage; bounds the memory it holds
 
 
@@ -558,50 +550,40 @@ def _batch_facts(n: int, masks: Sequence[int],
     and the ``GraphFacts`` fields already computed, worked out on stacks
     of up to _STACK graphs as the chunk's checks reach them.
 
-    Every stack gets its spectra, and ``bounds.certain_passes`` decides
-    the certificate checks it can from them.  Then one rule fills each
-    field of _PRESETS: on every graph when a selected check reads it on
-    every graph, else on the graphs that some certificate check leaves
-    undecided when their exact-root re-check reads it, else on none; a
-    field computed from another goes only to the graphs that got that
-    one.  Up to order MAX_EXHAUSTIVE_ORDER the fields of _BY_CHARPOLY are
-    keyed by the exact charpoly: the chunk computes each once per
-    distinct charpoly, on its first graph, and gives it to every graph
-    with that charpoly; when the spectrum is keyed, every graph gets its
-    charpoly before its spectrum.  So a preset spectrum may be the QR
-    values of another graph with the same charpoly.  A kernel that fails
-    for the whole stack fills nothing, and a graph whose result is an
-    error, its own or its key's, gets no field, so that its own lazy call
-    raises the error at the point of the check order where it always
-    did."""
+    One rule covers every field of _PRESETS, in the table's order.  On
+    each stack, every graph gets the fields that a selected check reads on
+    every graph; ``bounds.certain_passes`` decides what it can from the
+    spectra; the graphs it leaves undecided get the fields that their
+    exact-root re-check reads.  Up to order MAX_EXHAUSTIVE_ORDER, a field
+    with a set of own-value checks, none of them selected, is keyed by the
+    charpoly (see ``_fill``).  A kernel that fails for the whole stack
+    fills nothing, and a graph whose result is an error, its own or its
+    key's, gets no field, so that its own lazy call raises the error at
+    the point of the check order where it always did."""
     reads = set(theorems)
     if n > MAX_ENUMERATION_ORDER:
         reads.discard("oracle_charpoly")   # "na" on every graph: it reads nothing
     certified = [(name, THEOREM_CHECKS[name].bound) for name in theorems
                  if hasattr(THEOREM_CHECKS[name], "bound")]
     # keyed field -> charpoly coefficients -> value or error, for the chunk
-    shared = ({field: {} for field, own in _BY_CHARPOLY.items() if not own & reads}
-              if n <= MAX_EXHAUSTIVE_ORDER else {})
+    shared = {field: {} for field, (*_, own, _) in _PRESETS.items()
+              if n <= MAX_EXHAUSTIVE_ORDER and own is not None and not own & reads}
     for lo in range(0, len(masks), _STACK):
         adj = _adjacency_stack(n, masks[lo:lo + _STACK])
         known = [{} for _ in adj]
         every = range(len(adj))
-        if "spectrum" in shared:
-            _fill("charpoly", every, adj, known, shared)
-        _fill("spectrum", every, adj, known, shared)
-        decided = [frozenset()] * len(adj)
-        columns = []
-        if certified:
-            spectra = [row.get("spectrum") for row in known]
-            passes = bounds.certain_passes(n, adj, spectra, equality_tol())
-            columns = [(name, passes[bound].tolist()) for name, bound in certified
-                       if bound in passes]
-            decided = [frozenset(name for name, column in columns if column[i])
-                       for i in every]
+        for field, (readers, *_) in _PRESETS.items():
+            if readers & reads:
+                _fill(field, every, adj, known, shared)
+        passes = (bounds.certain_passes(n, adj, [row.get("spectrum") for row in known],
+                                        equality_tol()) if certified else {})
+        columns = [(name, passes[bound].tolist()) for name, bound in certified
+                   if bound in passes]
+        decided = [frozenset(name for name, column in columns if column[i]) for i in every]
         undecided = [i for i, names in enumerate(decided) if len(names) < len(columns)]
-        for field, readers, recheck, _, _ in _PRESETS:
-            _fill(field, every if readers & reads else undecided if recheck else (),
-                  adj, known, shared)
+        for field, (readers, recheck, *_) in _PRESETS.items():
+            if recheck and not readers & reads:   # a failed kernel is not run twice
+                _fill(field, undecided, adj, known, shared)
         yield from zip(decided, known)
 
 
@@ -609,12 +591,14 @@ def _fill(field: str, rows: Iterable[int], adj: np.ndarray, known: list[dict],
           shared: dict) -> None:
     """Set ``field`` in ``known[i]`` for each of ``rows`` that lacks it and
     has its kernel's source field, with one kernel call on the stack
-    ``adj``.  A field in ``shared`` is keyed by the charpoly: the call
-    covers only the first row of each charpoly that its table lacks, and
-    every row takes its key's entry."""
-    source, kernel = _KERNELS[field]
-    rows = [i for i in rows if field not in known[i] and (source is None or source in known[i])]
+    ``adj``.  A field in ``shared`` is keyed by the charpoly, which the
+    rows get first: the chunk computes it once per distinct charpoly, on
+    its first row, and every row takes its key's entry."""
+    _, _, source, _, kernel = _PRESETS[field]
     keyed = field in shared
+    if keyed:
+        _fill("charpoly", rows, adj, known, shared)
+    rows = [i for i in rows if field not in known[i] and (source is None or source in known[i])]
     keys = [known[i]["charpoly"].coeffs for i in rows] if keyed else rows
     table = shared[field] if keyed else {}
     first: dict = {}   # each key the table lacks -> the row that computes it

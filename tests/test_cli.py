@@ -263,6 +263,26 @@ class TestErrorPaths:
         code, _, err = run(capsys, "energy", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize("text", ['{"n": 2, "arcs": 5, "loops": []}',
+                                      '{"n": 2, "arcs": [], "loops": null}'],
+                             ids=["arcs-5", "loops-null"])
+    def test_arcs_or_loops_not_a_list_in_a_real_process(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(Path(loopspec.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "loopspec.cli", "energy", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("input error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("where", ["missing/report.json", "."])
+    def test_unwritable_out_is_an_output_error(self, capsys, tmp_path, where):
+        code, out, err = run(capsys, "sweep", "--n", "1", "--theorems", "perron",
+                             "--out", str(tmp_path / where))
+        assert (code, out) == (1, "")
+        assert err.startswith("output error: ") and "input error" not in err
+
     def test_usage_error(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 

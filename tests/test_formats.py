@@ -47,6 +47,15 @@ def test_autodetect(sample):
     assert loads(dumps_json(sample)) == sample
 
 
+@pytest.mark.parametrize("obj", [{"n": 2, "arcs": 5, "loops": []},
+                                 {"n": 2, "arcs": [], "loops": None},
+                                 {"n": 2, "arcs": {"0": 1}, "loops": []},
+                                 {"n": 2, "arcs": [], "loops": "01"}])
+def test_arcs_and_loops_must_be_lists(obj):
+    with pytest.raises(FormatError, match="must be lists"):
+        from_json_dict(obj)
+
+
 def test_duplicate_arcs_rejected():
     with pytest.raises(FormatError):
         from_text("n 2\na 0 1\na 0 1\n")

@@ -579,6 +579,20 @@ class TestBatchKernels:
             assert len(alone) < len(polys)
             assert [repr(s) for s in poly_roots_many(polys)] == [alone[p] for p in polys]
 
+    def test_mixed_charpolys_up_to_order_5_equal_one_polynomial_calls(self):
+        # The charpoly keys of a sweep rely on this: up to n = 5, a
+        # polynomial's roots in one call beside other polynomials are its
+        # own call's to the bit.  Its square-free factors then pad to fewer
+        # than 8 root slots, and the Aberth sums do not regroup.  All 333
+        # distinct n = 4 charpolys and 300 seeded n = 5 ones, interleaved.
+        n4 = char_poly_exact_many(_stack(_n4_classes()))
+        n5 = char_poly_exact_many(_stack(random_digraph(5, 0.5, 0.5, seed)
+                                         for seed in range(300)))
+        distinct = list(dict.fromkeys(n4 + n5))
+        assert len(set(n4)) == 333 and len(distinct) > 400
+        mixed = distinct[::2] + distinct[1::2]
+        assert [repr(s) for s in poly_roots_many(mixed)] == [repr(poly_roots(p)) for p in mixed]
+
     def test_close_pair_converges_in_a_batch(self):
         # The coefficients of test_close_real_roots_converge, next to a
         # quadratic that converges sooner.

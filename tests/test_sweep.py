@@ -252,6 +252,13 @@ class TestSweep:
             {"check": "synthetic_fail", "graph": to_json_dict(target), "detail": "synthetic"}]
 
 
+def _every_graph_its_own_key(monkeypatch) -> None:
+    """Patch the batch stage so that no field is keyed by the charpoly."""
+    monkeypatch.setattr(sweep_module, "_PRESETS", {
+        field: (readers, recheck, source, None, kernel)
+        for field, (readers, recheck, source, _, kernel) in sweep_module._PRESETS.items()})
+
+
 class TestSharedWork:
     def test_one_exact_charpoly_spectrum_and_analysis_per_matrix(self, monkeypatch):
         # A strongly connected graph whose arcs all lie on cycles is its
@@ -288,7 +295,8 @@ class TestSharedWork:
                             "complement": 2}
 
     def test_batch_fills_spectra_and_exact_roots_only_when_read(self, monkeypatch):
-        # Three graphs in one chunk.  Up to n = 5 the spectra are keyed by
+        # Three graphs in one chunk.  The spectra come only when a selected
+        # check reads them on every graph.  Up to n = 5 they are keyed by
         # the exact charpoly: one stacked charpoly call, then one stacked
         # QR call on the first graph of each charpoly, unless a selected
         # check tests every graph's own QR values.  A loop with an arc
@@ -326,14 +334,18 @@ class TestSharedWork:
         assert stacks == {("char_poly_exact_many", 3): 1, ("eigenvalues_many", 2): 1,
                           ("poly_roots_many", 1): 1}
         stacks.clear()
-        assert batch(["charpoly_invariance"]) == [([], ["charpoly", "spectrum"])] * 3
+        assert batch(["zero_energy"]) == [([], ["charpoly", "spectrum"])] * 3
         assert stacks == {("char_poly_exact_many", 3): 1, ("eigenvalues_many", 2): 1}
         stacks.clear()
         # The stack's keys carry over to the next stack of the chunk.
         with monkeypatch.context() as patched:
             patched.setattr(sweep_module, "_STACK", 1)
-            batch(["charpoly_invariance"])
+            batch(["zero_energy"])
             assert stacks == {("char_poly_exact_many", 1): 3, ("eigenvalues_many", 1): 2}
+        stacks.clear()
+        # A check that reads no spectrum builds no spectrum stack.
+        assert batch(["charpoly_invariance"]) == [([], ["charpoly"])] * 3
+        assert stacks == {("char_poly_exact_many", 3): 1}
         stacks.clear()
         # A check of every graph's own QR values turns the spectra's key off.
         assert batch(["trace_identities"]) == [([], ["spectrum"])] * 3
@@ -345,20 +357,20 @@ class TestSharedWork:
                           ("poly_roots_many", 2): 1}
         stacks.clear()
         for name in ("complement_rho_sum", "complement_energy_sum"):
-            assert batch([name]) == [([], ["charpoly", "complement", "spectrum"])] * 3
+            assert batch([name]) == [([], ["charpoly", "complement_spectrum", "spectrum"])] * 3
             assert stacks == {("char_poly_exact_many", 3): 1, ("eigenvalues_many", 2): 1,
                               ("eigenvalues_many", 3): 1}
             stacks.clear()
-        # The regular-complement checks alone build no complement stack.
+        # The regular-complement checks read spectra of regular graphs
+        # only: alone they build no stack.
         for name in ("regular_complement_spectrum", "regular_energy_sum"):
-            assert batch([name]) == [([], ["charpoly", "spectrum"])] * 3
-            assert stacks == {("char_poly_exact_many", 3): 1, ("eigenvalues_many", 2): 1}
-            stacks.clear()
+            assert batch([name]) == [([], [])] * 3
+            assert stacks == {}
         everything = list(sweep_module._batch_facts(2, masks, resolve_theorems("all")))
         assert [sorted(decided) for decided, _ in everything] == [
             ["energy_lower_c2", "mcclelland", "power_sums", "rho_lower", "rho_upper"], [],
             ["energy_lower_c2", "mcclelland", "power_sums", "rho_lower", "rho_upper"]]
-        assert all(sorted(known) == ["charpoly", "complement", "cycle_cover_charpoly",
+        assert all(sorted(known) == ["charpoly", "complement_spectrum", "cycle_cover_charpoly",
                                      "spectrum", "verified_spectrum"]
                    for _, known in everything)
         # The spectra are each graph's own; the roots are keyed all the same.
@@ -375,8 +387,7 @@ class TestSharedWork:
         # it can enumerate: one cycle-cover call per stack at n = 8, none at
         # n = 9, and none for any other check.
         assert [batch(["oracle_charpoly"], n) for n in (8, 9)] == [
-            [([], ["charpoly", "cycle_cover_charpoly", "spectrum"])] * 3,
-            [([], ["spectrum"])] * 3]
+            [([], ["charpoly", "cycle_cover_charpoly"])] * 3, [([], [])] * 3]
         assert cover_calls() == {3: 1}
         stacks.clear()
         for name in THEOREM_CHECKS:
@@ -392,10 +403,10 @@ class TestSharedWork:
             assert known == {"spectrum": facts.spectrum, "charpoly": facts.charpoly,
                              "verified_spectrum": facts.verified_spectrum,
                              "cycle_cover_charpoly": facts.cycle_cover_charpoly,
-                             "complement": {"spectrum": facts.complement_facts.spectrum}}
+                             "complement_spectrum": facts.complement_facts.spectrum}
             lone = linalg.eigenvalues(linalg.adjacency(facts.complement_digraph),
                                       with_residuals=False)
-            assert repr(known["complement"]["spectrum"]) == repr(lone)
+            assert repr(known["complement_spectrum"]) == repr(lone)
         # The cycle-cover preset is the lazy field, on seeded n = 8 graphs.
         dense = [sweep_module._sample_mask(8, 0.5, 0.5, seed) for seed in range(4)]
         for mask, (_, known) in zip(dense, sweep_module._batch_facts(8, dense,
@@ -406,36 +417,47 @@ class TestSharedWork:
     def test_batch_read_sets_are_the_checks_that_read_every_graph(self):
         # Run each check alone over the n = 3 classes on fresh facts: the
         # fields it left cached on every graph are the ones it read, and a
-        # field that an array-decided certificate check left on any graph
-        # is one its exact-root re-check reads.  A field cached on a graph
-        # comes with the field its kernel reads.  The complement's
-        # spectrum counts as the field "complement".
+        # field that an array-decided certificate check left on some
+        # graphs only is one its exact-root re-check reads.  A field cached
+        # on a graph comes with the field its kernel reads.  The
+        # complement's spectrum counts as the field "complement_spectrum".
         graphs = [digraph_from_bits(3, mask) for mask in orbit_classes(3)[0]]
-        presets = {field: (readers, recheck, source)
-                   for field, readers, recheck, source, _ in sweep_module._PRESETS}
-        assert presets.keys() == {"charpoly", "verified_spectrum", "cycle_cover_charpoly",
-                                  "complement"}
+        presets = sweep_module._PRESETS
         cached = {}
         rechecked = set()
         for name, check in THEOREM_CHECKS.items():
             cached[name] = set(presets)
+            seen = set()
             for d in graphs:
                 facts = GraphFacts(d)
                 check(facts)
                 comp = vars(facts).get("complement_facts")
                 fields = presets.keys() & (vars(facts).keys() | (
-                    {"complement"} if comp and "spectrum" in vars(comp) else set()))
+                    {"complement_spectrum"} if comp and "spectrum" in vars(comp) else set()))
                 cached[name] &= fields
-                if name in ARRAY5:
-                    rechecked |= fields
-                assert all(source in fields for field, (_, _, source) in presets.items()
-                           if source is not None and field in fields)
-        assert {field: readers for field, (readers, _, _) in presets.items()} == {
-            field: {name for name, fields in cached.items() if field in fields}
-            for field in presets}
-        assert {field for field, (_, recheck, _) in presets.items() if recheck} == rechecked
-        assert {field: source for field, (_, _, source) in presets.items() if source} == {
+                seen |= fields
+                assert all(presets[field][2] in fields for field in fields
+                           if presets[field][2] is not None)
+            if name in ARRAY5:
+                rechecked |= seen - cached[name]
+        readers = {field: {name for name, fields in cached.items() if field in fields}
+                   for field in presets}
+        assert {field: row[0] for field, row in presets.items()} == readers
+        assert readers == {
+            "charpoly": {"charpoly_invariance", "oracle_charpoly", "oracle_roots"},
+            "spectrum": set(THEOREM_CHECKS) - {
+                "charpoly_invariance", "complement_involution", "oracle_charpoly",
+                "loop_shift", "regular_complement_spectrum", "regular_energy_sum"},
+            "complement_spectrum": {"complement_rho_sum", "complement_energy_sum"},
+            "cycle_cover_charpoly": {"oracle_charpoly"},
+            "verified_spectrum": {"oracle_roots"}}
+        assert len(readers["spectrum"]) == 16
+        assert {field for field, row in presets.items() if row[1]} == rechecked
+        assert {field: row[2] for field, row in presets.items() if row[2]} == {
             "verified_spectrum": "charpoly"}
+        # Only the functions of the charpoly have checks of each graph's own value.
+        assert {field: row[3] for field, row in presets.items() if row[3] is not None} == {
+            "spectrum": {"oracle_roots", "trace_identities"}, "verified_spectrum": set()}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("theorems", [["mcclelland", "rho_lower"], ARRAY5,
@@ -450,7 +472,7 @@ class TestSharedWork:
             return json.dumps(report, sort_keys=True)
 
         keyed = [payload(1), payload(2)]
-        monkeypatch.setattr(sweep_module, "_BY_CHARPOLY", {})
+        _every_graph_its_own_key(monkeypatch)
         assert keyed == [payload(1)] * 2
 
     @pytest.mark.parametrize("own", ["oracle_roots", "trace_identities"])
@@ -517,16 +539,18 @@ class TestSharedWork:
         assert keyed[1][("eigenvalues_many", 256)] == 2
         assert sum(size * count for (name, size), count in keyed[1].items()
                    if name == "char_poly_exact_many") < 600
-        monkeypatch.setattr(sweep_module, "_BY_CHARPOLY", {})
+        _every_graph_its_own_key(monkeypatch)
         assert run() == keyed
 
     @pytest.mark.parametrize("theorems", [["charpoly_invariance"], ["oracle_roots"]])
     def test_batch_fills_nothing_past_a_kernels_size_cap(self, theorems):
         # Past n = 64 the exact charpoly stack raises SizeLimit as a whole:
-        # no graph gets a charpoly, and so none gets its roots.
+        # no graph gets a charpoly, and so none gets its roots.  The QR
+        # stack has no cap, so oracle_roots still gets the spectra.
         masks = [sweep_module._sample_mask(65, 0.05, 0.5, seed) for seed in range(2)]
         fields = [sorted(known) for _, known in sweep_module._batch_facts(65, masks, theorems)]
-        assert fields == [["spectrum"]] * 2
+        expected = {"charpoly_invariance": [], "oracle_roots": ["spectrum"]}[theorems[0]]
+        assert fields == [expected] * 2
 
     def test_complement_stack_matches_the_complements(self):
         # Every n = 3 class and 48 seeded n = 7 samples, with and without
@@ -564,8 +588,8 @@ class TestSharedWork:
 
 
 class TestFactsTable:
-    """One facts table per chunk: each distinct component digraph, and each
-    loopless form the loop-shift check reads, is analysed once."""
+    """One facts table per chunk: each distinct component digraph is
+    analysed once."""
 
     def test_component_facts_once_per_distinct_component(self, monkeypatch):
         # Facts built below the sweep's order are components' facts.  The
@@ -598,27 +622,33 @@ class TestFactsTable:
         assert one_matrix["eigenvalues"] <= 400
 
     def test_derived_facts_are_shared_through_the_table(self):
-        # Two fully looped graphs with the directed triangle as loopless
-        # form: through one table, their facts reach one facts object for
-        # it, which keeps the table; facts built without one share their
-        # derived facts through a table of their own.
+        # Two graphs with the directed triangle as a strong component, one
+        # with a looped isolated vertex and one with a bare one: through
+        # one table, their facts reach one facts object for it, which
+        # keeps the table.  A graph's own facts, the loopless form that
+        # the loop-shift check reads and the complement stay out.  Facts
+        # built without a table share their derived facts through a table
+        # of their own.
         triangle = new_digraph(3, [(0, 1), (1, 2), (2, 0)])
         table = {}
-        first, second = (GraphFacts(new_digraph(3, triangle.arcs, range(3)), table=table)
-                         for _ in range(2))
-        bare = first.derived(first.d.loopless())
-        assert second.derived(second.d.loopless()) is bare
-        assert table == {triangle: bare} and bare.table is table
-        assert first.component_facts == [first]   # own facts stay out
-        assert first.complement_facts.table is table and len(table) == 1
+        first, second = (GraphFacts(new_digraph(4, triangle.arcs, loops), table=table)
+                         for loops in ([3], []))
+        shared = first.derived(triangle)
+        assert any(f is shared for f in first.component_facts)
+        assert any(f is shared for f in second.component_facts)
+        assert shared.table is table and len(table) == 3   # the triangle and two vertices
+        looped = GraphFacts(new_digraph(3, triangle.arcs, range(3)), table=table)
+        assert looped.component_facts == [looped]
+        assert THEOREM_CHECKS["loop_shift"](looped).status == "pass"
+        assert looped.complement_facts.table is not table and len(table) == 3
         alone = GraphFacts(first.d)
-        shared = alone.derived(triangle)
-        assert alone.derived(triangle) is shared and shared is not bare
-        assert alone.table == {triangle: shared} and shared.table is alone.table
+        own = alone.derived(triangle)
+        assert alone.derived(triangle) is own and own is not shared
+        assert alone.table == {triangle: own} and own.table is alone.table
 
     def test_table_keeps_derived_graphs_up_to_order_4(self):
-        # A sampled sweep all but never meets a component or loopless form
-        # of order 5 or more twice, so the table does not hold its facts.
+        # A sampled sweep all but never meets a component of order 5 or
+        # more twice, so the table does not hold its facts.
         for n in (4, 5):
             cycle = new_digraph(n, [(i, (i + 1) % n) for i in range(n)])
             looped = GraphFacts(new_digraph(n, cycle.arcs, range(n)))
