@@ -3,7 +3,9 @@
 A graph on n labeled vertices is an adjacency bit pattern (diagonal bits
 are loops).  Every property under test is invariant under relabeling, so
 an exhaustive sweep checks one graph per relabeling class: the class's
-least bit pattern, in ascending order.  Each class counts with its orbit
+least bit pattern, in ascending order.  The class list of order n is
+built once per process by extending the list of order n - 1 by one
+vertex (see ``orbit_classes``).  Each class counts with its orbit
 size n!/|Aut|, so ``graphs_checked`` and every pass/fail/na tally equal
 those of a walk over all 2**(n*n) labeled graphs.  The least pattern of a
 class is also the first of its graphs in bit-pattern order, so the census
@@ -23,18 +25,22 @@ cycle-cover charpoly, the exact charpoly and its roots.  Every graph gets
 the fields that a selected check reads on every graph.  From the spectra
 ``bounds.certain_passes`` then decides, in numpy, every certificate
 check on a graph's own spectrum that certainly passes without equality;
-such a check is tallied as a pass without running, and a graph whose
-selected checks are all decided builds no facts at all.  The graphs left
-undecided get the fields that their exact-root re-check reads.  The
-spectrum and the exact roots are functions of the characteristic
-polynomial, so at the enumerated orders (n <= MAX_EXHAUSTIVE_ORDER) each
-is computed once per distinct charpoly in the chunk, on its first graph:
-a preset spectrum may be the QR values of another graph with the same
-charpoly, unless ``oracle_roots`` or ``trace_identities``, which test the
-QR route on each graph, is selected.  A graph whose batch row fails, or
-whose charpoly's first graph failed, gets the field unfilled, so its own
-lazy call raises at the same point of the check order as it would alone,
-and only if the sweep reaches it.
+such a check is tallied as a pass without running.  A graph whose
+selected checks are all decided costs no Python of its own: the chunk
+runner adds the weights of a run of such graphs to ``graphs_checked``
+and to every pass tally at once, before the next graph that runs a
+check, so a stop still counts exactly the graphs up to the failing one.
+The graphs left undecided get the fields that their exact-root re-check
+reads.  The spectrum and the exact roots are functions of the
+characteristic polynomial, so at the enumerated orders
+(n <= MAX_EXHAUSTIVE_ORDER) each is computed once per distinct charpoly
+in the chunk, on its first graph: a preset spectrum may be the QR values
+of another graph with the same charpoly, unless ``oracle_roots`` or
+``trace_identities``, which test the QR route on each graph, is
+selected.  A graph whose batch row fails, or whose charpoly's first
+graph failed, gets the field unfilled, so its own lazy call raises at
+the same point of the check order as it would alone, and only if the
+sweep reaches it.
 
 The graphs of a chunk share one facts table (see ``spectral``), keyed by
 the exact labeled digraph: each distinct strong component of order 4 or
@@ -52,6 +58,7 @@ its class.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -98,45 +105,98 @@ def digraph_from_bits(n: int, mask: int) -> Digraph:
     return Digraph(n, frozenset(arcs), frozenset(loops))
 
 
-_ORBIT_CHUNK = 1 << 14   # masks relabeled at once; bounds the numpy temporaries
+_ORBIT_CHUNK = 1 << 16   # candidates relabeled at once; bounds the numpy temporaries
 
 
 def orbit_classes(n: int) -> tuple[list[int], list[int]]:
     """The least mask of every relabeling class on n vertices, ascending,
     and the class's orbit size n!/|Aut|; the sizes sum to 2**(n*n).
 
-    Each chunk of masks is relabeled under every non-identity permutation
-    by per-row lookup tables.  A mask drops out as soon as one image is
-    smaller, and the images equal to it count its automorphisms.
+    The list is built by one-vertex extension (R. C. Read, Ann. Discrete
+    Math. 2 (1978); B. D. McKay, J. Algorithms 26 (1998)).  Any graph can
+    be relabeled on its first n - 1 vertices so that its subgraph on them
+    is the least mask of that subgraph's class, so the least masks of
+    order n - 1, each extended by every bit pattern of the new vertex's
+    row, column and loop (2n - 1 bits), meet every class.  Each candidate
+    is mapped to its least image under every relabeling, by lookup tables
+    over the two halves of the mask, and one sort keeps one per class;
+    the relabelings that fix a class's mask count its automorphisms.  Each
+    order is built once per process, from the order below, and kept: about
+    0.15 MB after n = 4 and 13 MB after n = 5.  Every call returns fresh
+    lists of the kept ints.
     """
+    if n < 0:
+        raise ValueError(f"n must be at least 0, not {n}")
     if n > MAX_EXHAUSTIVE_ORDER:
         raise SizeLimit(f"exhaustive enumeration capped at n = {MAX_EXHAUSTIVE_ORDER}")
-    row_mask = (1 << n) - 1
-    patterns = np.arange(1 << n, dtype=np.int32)
-    relabelings = list(itertools.permutations(range(n)))[1:]
-    # tables[t, i, r]: where row i with bit pattern r lands under relabeling t
-    tables = np.zeros((len(relabelings), n, 1 << n), dtype=np.int32)
-    for t, p in enumerate(relabelings):
-        for i in range(n):
-            for j in range(n):
-                tables[t, i] |= ((patterns >> j) & 1) << (p[i] * n + p[j])
-    masks: list[int] = []
-    fixed: list[int] = []
-    total = 1 << (n * n)
-    for lo in range(0, total, _ORBIT_CHUNK):
-        least = np.arange(lo, min(lo + _ORBIT_CHUNK, total), dtype=np.int32)
-        aut = np.ones(len(least), dtype=np.int32)
-        for table in tables:
-            image = table[0][least & row_mask]
-            for i in range(1, n):
-                image |= table[i][(least >> (i * n)) & row_mask]
-            keep = image >= least
-            least, image, aut = least[keep], image[keep], aut[keep]
-            aut += image == least
-        masks += least.tolist()
-        fixed += aut.tolist()
-    order = math.factorial(n)
-    return masks, [order // a for a in fixed]
+    masks, weights = _class_list(n)
+    return list(masks), list(weights)
+
+
+@functools.cache
+def _class_list(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    if n == 0:
+        return (0,), (1,)
+    old = n - 1
+    base = np.array(_class_list(old)[0], dtype=np.int32)
+    spread = np.zeros_like(base)   # each base mask laid out on n x n: row i moves i bits up
+    for i in range(old):
+        spread |= ((base >> (i * old)) & ((1 << old) - 1)) << (i * n)
+    new_bits = [i * n + old for i in range(old)] + [old * n + j for j in range(n)]
+    patterns = np.arange(1 << len(new_bits), dtype=np.int32)
+    extension = np.zeros_like(patterns)
+    for b, bit in enumerate(new_bits):
+        extension |= ((patterns >> b) & 1) << bit
+    candidates = (spread[:, None] | extension).ravel()
+    tables = _relabel_tables(n)
+    least = []
+    for lo in range(0, len(candidates), _ORBIT_CHUNK):
+        chunk = candidates[lo:lo + _ORBIT_CHUNK]
+        low = chunk.copy()
+        for image in _relabelings(chunk, *tables):
+            np.minimum(low, image, out=low)
+        least.append(_distinct(low))
+    masks = _distinct(np.concatenate(least))
+    aut = np.ones(len(masks), dtype=np.int32)
+    for image in _relabelings(masks, *tables):
+        aut += image == masks
+    return tuple(masks.tolist()), tuple((math.factorial(n) // aut).tolist())
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: ``np.unique`` without its first
+    call's import of ``numpy.ma``, which costs a fresh process about 10 ms."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _relabel_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The bit where the high half of an n x n mask starts, and for the low
+    and the high half table[t, v]: the image of that half's bit pattern v
+    under the t-th relabeling other than the identity."""
+    relabelings = np.array(list(itertools.permutations(range(n)))[1:],
+                           dtype=np.int32).reshape(-1, n)
+    k = np.arange(n * n)
+    lands = relabelings[:, k // n] * n + relabelings[:, k % n]   # [t, k]: where bit k goes
+    half = (n * n + 1) // 2
+    tables = []
+    for lo, hi in ((0, half), (half, n * n)):
+        patterns = np.arange(1 << (hi - lo), dtype=np.int32)
+        table = np.zeros((len(relabelings), len(patterns)), dtype=np.int32)
+        for bit in range(lo, hi):
+            table |= ((patterns >> (bit - lo)) & 1) << lands[:, bit, None]
+        tables.append(table)
+    return half, *tables
+
+
+def _relabelings(masks: np.ndarray, half: int, low: np.ndarray,
+                 high: np.ndarray) -> Iterator[np.ndarray]:
+    """The images of ``masks`` under each relabeling other than the identity."""
+    low_bits, high_bits = masks & ((1 << half) - 1), masks >> half
+    for low_table, high_table in zip(low, high):
+        yield low_table[low_bits] | high_table[high_bits]
 
 
 def random_digraph(n: int, arc_prob: float, loop_prob: float, seed: int) -> Digraph:
@@ -375,9 +435,12 @@ class SweepReport:
     graphs_checked: int
     checks: dict[str, _Tally]
     # bound id -> the bit masks, census signatures and witnesses of its
-    # census entries, as three lists in entry order, so that a report holds
-    # no object per entry but its mask
-    census_entries: dict[str, tuple[list[int], list[str], list[Optional[str]]]]
+    # census entries, as three columns in entry order: lists while the
+    # sweep appends to them, tuples in a finished report.  A report holds
+    # no object per entry of its own: the strings are interned, and an
+    # exhaustive sweep's masks are the ints of the class list, which
+    # ``orbit_classes`` keeps for the process.
+    census_entries: dict[str, tuple[Sequence[int], Sequence[str], Sequence[Optional[str]]]]
     counterexamples: list[dict]
     census_findings: list[dict]
     params: dict
@@ -545,10 +608,12 @@ _STACK = 256   # graphs per stack of the batch stage; bounds the memory it holds
 
 
 def _batch_facts(n: int, masks: Sequence[int],
-                 theorems: list[str]) -> Iterator[tuple[frozenset[str], dict]]:
-    """For each graph of a chunk, the selected checks that certainly pass
-    and the ``GraphFacts`` fields already computed, worked out on stacks
-    of up to _STACK graphs as the chunk's checks reach them.
+                 theorems: list[str]) -> Iterator[tuple[int, frozenset[str], dict]]:
+    """For each graph of a chunk that needs a check, in order: its index
+    in the chunk, the selected checks that certainly pass and the
+    ``GraphFacts`` fields already computed, worked out on stacks of up to
+    _STACK graphs as the chunk's checks reach them.  A graph that is left
+    out passes every selected check without equality.
 
     One rule covers every field of _PRESETS, in the table's order.  On
     each stack, every graph gets the fields that a selected check reads on
@@ -565,41 +630,48 @@ def _batch_facts(n: int, masks: Sequence[int],
         reads.discard("oracle_charpoly")   # "na" on every graph: it reads nothing
     certified = [(name, THEOREM_CHECKS[name].bound) for name in theorems
                  if hasattr(THEOREM_CHECKS[name], "bound")]
-    # keyed field -> charpoly coefficients -> value or error, for the chunk
+    # keyed field -> charpoly coefficients -> value, None for an error, for the chunk
     shared = {field: {} for field, (*_, own, _) in _PRESETS.items()
               if n <= MAX_EXHAUSTIVE_ORDER and own is not None and not own & reads}
     for lo in range(0, len(masks), _STACK):
         adj = _adjacency_stack(n, masks[lo:lo + _STACK])
-        known = [{} for _ in adj]
         every = range(len(adj))
+        columns = {field: [None] * len(adj) for field in _PRESETS}   # None: not computed
         for field, (readers, *_) in _PRESETS.items():
             if readers & reads:
-                _fill(field, every, adj, known, shared)
-        passes = (bounds.certain_passes(n, adj, [row.get("spectrum") for row in known],
-                                        equality_tol()) if certified else {})
-        columns = [(name, passes[bound].tolist()) for name, bound in certified
-                   if bound in passes]
-        decided = [frozenset(name for name, column in columns if column[i]) for i in every]
-        undecided = [i for i, names in enumerate(decided) if len(names) < len(columns)]
+                _fill(field, every, adj, columns, shared)
+        passes = (bounds.certain_passes(n, adj, columns["spectrum"], equality_tol())
+                  if certified else {})
+        decisions = [(name, passes[bound]) for name, bound in certified if bound in passes]
+        decided_on_all = np.ones(len(adj), dtype=bool)
+        for _, passed in decisions:
+            decided_on_all &= passed
+        undecided = np.flatnonzero(~decided_on_all).tolist()
         for field, (readers, recheck, *_) in _PRESETS.items():
             if recheck and not readers & reads:   # a failed kernel is not run twice
-                _fill(field, undecided, adj, known, shared)
-        yield from zip(decided, known)
+                _fill(field, undecided, adj, columns, shared)
+        flags = [(name, passed.tolist()) for name, passed in decisions]
+        # A graph is left out only where the arrays decide every selected check.
+        for i in undecided if len(decisions) == len(theorems) else every:
+            yield (lo + i, frozenset(name for name, passed in flags if passed[i]),
+                   {field: column[i] for field, column in columns.items()
+                    if column[i] is not None})
 
 
-def _fill(field: str, rows: Iterable[int], adj: np.ndarray, known: list[dict],
+def _fill(field: str, rows: Iterable[int], adj: np.ndarray, columns: dict[str, list],
           shared: dict) -> None:
-    """Set ``field`` in ``known[i]`` for each of ``rows`` that lacks it and
-    has its kernel's source field, with one kernel call on the stack
-    ``adj``.  A field in ``shared`` is keyed by the charpoly, which the
-    rows get first: the chunk computes it once per distinct charpoly, on
-    its first row, and every row takes its key's entry."""
+    """Set ``columns[field][i]`` for each of ``rows`` that lacks it and has
+    its kernel's source field, with one kernel call on the stack ``adj``.
+    A field in ``shared`` is keyed by the charpoly, which the rows get
+    first: the chunk computes it once per distinct charpoly, on its first
+    row, and every row takes its key's entry."""
     _, _, source, _, kernel = _PRESETS[field]
     keyed = field in shared
     if keyed:
-        _fill("charpoly", rows, adj, known, shared)
-    rows = [i for i in rows if field not in known[i] and (source is None or source in known[i])]
-    keys = [known[i]["charpoly"].coeffs for i in rows] if keyed else rows
+        _fill("charpoly", rows, adj, columns, shared)
+    column, sources = columns[field], columns.get(source)
+    rows = [i for i in rows if column[i] is None and (source is None or sources[i] is not None)]
+    keys = [columns["charpoly"][i].coeffs for i in rows] if keyed else rows
     table = shared[field] if keyed else {}
     first: dict = {}   # each key the table lacks -> the row that computes it
     for i, key in zip(rows, keys):
@@ -608,13 +680,13 @@ def _fill(field: str, rows: Iterable[int], adj: np.ndarray, known: list[dict],
     if first:
         todo = list(first.values())
         try:
-            values = kernel(adj[todo] if source is None else [known[i][source] for i in todo])
+            values = kernel(adj[todo] if source is None else [sources[i] for i in todo])
         except LoopspecError:
             return   # past the kernel's size cap: each graph raises on its own
-        table.update(zip(first, values))
+        table.update((key, None if isinstance(value, LoopspecError) else value)
+                     for key, value in zip(first, values))
     for i, key in zip(rows, keys):
-        if not isinstance(table[key], LoopspecError):
-            known[i][field] = table[key]
+        column[i] = table[key]
 
 
 def _complement_stack(adj: np.ndarray) -> np.ndarray:
@@ -626,15 +698,28 @@ def _complement_stack(adj: np.ndarray) -> np.ndarray:
 
 def _run_chunk(args: tuple) -> SweepReport:
     """Check a chunk of graphs, given by bit pattern and weight, until the
-    first counterexample."""
+    first counterexample.  The graphs the batch stage leaves out are
+    tallied in bulk, before the next graph that runs a check, so a stop
+    counts exactly the graphs up to the failing one."""
     n, masks, weights, theorems = args
     report = _new_report(n, "", theorems, {})
     table: dict = {}
-    for mask, weight, (decided, known) in zip(masks, weights,
-                                              _batch_facts(n, masks, theorems)):
-        if not _check_graph(report, mask, theorems, weight, known, decided, table):
-            break
+    done = 0   # the graphs before this index are tallied
+    for i, decided, known in _batch_facts(n, masks, theorems):
+        if i > done:
+            _pass_in_bulk(report, sum(weights[done:i]))
+        if not _check_graph(report, masks[i], theorems, weights[i], known, decided, table):
+            return report
+        done = i + 1
+    _pass_in_bulk(report, sum(weights[done:]))
     return report
+
+
+def _pass_in_bulk(report: SweepReport, weight: int) -> None:
+    """Tally ``weight`` graphs that pass every selected check without equality."""
+    report.graphs_checked += weight
+    for name in report.theorems:
+        report.checks[name].passed += weight
 
 
 def _merge_reports(into: SweepReport, part: SweepReport,
@@ -746,6 +831,8 @@ def sweep(n: int,
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    report.census_entries = {bound_id: tuple(map(tuple, columns))
+                             for bound_id, columns in report.census_entries.items()}
     report.census_findings = census_findings(report)
     report.wall_time = time.perf_counter() - start_time
     return report

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
 import json
 
 import pytest
 
 import loopspec.sweep as sweep_module
-from loopspec import (SizeLimit, complete, decomposition, linalg, new_digraph,
+from loopspec import (SizeLimit, bounds, complete, decomposition, linalg, new_digraph,
                       spectral)
-from loopspec.errors import NoConvergence
+from loopspec.errors import CounterexampleError, NoConvergence
 from loopspec.bounds import (FAMILY_UNRECOGNIZED, STRUCTURE_UNRECOGNIZED,
                              mcclelland_equality_family,
                              rho_lower_equality_structure)
@@ -59,6 +60,31 @@ class TestOrbitClasses:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             orbit_classes(6)
+
+    def test_order_zero_and_negative_orders(self):
+        assert orbit_classes(0) == ([0], [1])
+        for n in (-1, -7):
+            with pytest.raises(ValueError, match="n must be at least 0"):
+                orbit_classes(n)
+
+    @pytest.mark.parametrize("n, count, digest", [
+        (4, 3044, "a9f4ec3514cc073054f26e8f0cbcd41d8c557ed11f36bd20547221aeb0080466"),
+        (5, 291968, "899b54329859bc962f32b4ff5f4b53902339769b9fa1b40f7403aace338b7c2a"),
+    ])
+    def test_class_list_digests(self, n, count, digest):
+        # The digests of the lists that a sweep over all 2**(n*n) masks,
+        # relabeling each, gave before the one-vertex extension.
+        masks, weights = orbit_classes(n)
+        assert len(masks) == count and sum(weights) == 1 << (n * n)
+        assert hashlib.sha256(json.dumps((masks, weights)).encode()).hexdigest() == digest
+
+    def test_returned_lists_are_fresh(self):
+        masks, weights = orbit_classes(3)
+        expected = (list(masks), list(weights))
+        masks.append(-1)
+        weights[0] = 0
+        masks.reverse()
+        assert orbit_classes(3) == expected
 
 
 def _walk_reference(n: int, graphs: list, mode: str, params: dict) -> dict:
@@ -307,7 +333,8 @@ class TestSharedWork:
         # from one more stacked call exactly when a selected check reads
         # them on every graph, and so do the cycle-cover charpolys.  A loop
         # with an arc clears every such bound, so in the census it gets no
-        # roots; the digon attains every one.
+        # roots and is left out, to be tallied in bulk; the digon attains
+        # every one.
         stacks = collections.Counter()
 
         def counted(name):
@@ -324,13 +351,13 @@ class TestSharedWork:
         masks = [0b0011, 0b0110, 0b0101]
 
         def batch(theorems, n=2):
-            return [(sorted(decided), sorted(known)) for decided, known
-                    in sweep_module._batch_facts(n, masks, theorems)]
+            rows = [None] * len(masks)   # None: left out, every selected check passes
+            for i, decided, known in sweep_module._batch_facts(n, masks, theorems):
+                rows[i] = (sorted(decided), sorted(known))
+            return rows
 
         assert batch(["mcclelland", "rho_lower"]) == [
-            (["mcclelland", "rho_lower"], ["charpoly", "spectrum"]),
-            ([], ["charpoly", "spectrum", "verified_spectrum"]),
-            (["mcclelland", "rho_lower"], ["charpoly", "spectrum"])]
+            None, ([], ["charpoly", "spectrum", "verified_spectrum"]), None]
         assert stacks == {("char_poly_exact_many", 3): 1, ("eigenvalues_many", 2): 1,
                           ("poly_roots_many", 1): 1}
         stacks.clear()
@@ -367,16 +394,17 @@ class TestSharedWork:
             assert batch([name]) == [([], [])] * 3
             assert stacks == {}
         everything = list(sweep_module._batch_facts(2, masks, resolve_theorems("all")))
-        assert [sorted(decided) for decided, _ in everything] == [
+        assert [i for i, _, _ in everything] == [0, 1, 2]
+        assert [sorted(decided) for _, decided, _ in everything] == [
             ["energy_lower_c2", "mcclelland", "power_sums", "rho_lower", "rho_upper"], [],
             ["energy_lower_c2", "mcclelland", "power_sums", "rho_lower", "rho_upper"]]
         assert all(sorted(known) == ["charpoly", "complement_spectrum", "cycle_cover_charpoly",
                                      "spectrum", "verified_spectrum"]
-                   for _, known in everything)
+                   for _, _, known in everything)
         # The spectra are each graph's own; the roots are keyed all the same.
         assert stacks == {("eigenvalues_many", 3): 2, ("char_poly_exact_many", 3): 1,
                           ("poly_roots_many", 2): 1, ("linear_subdigraph_charpoly_many", 3): 1}
-        assert everything[2][1]["verified_spectrum"] is everything[0][1]["verified_spectrum"]
+        assert everything[2][2]["verified_spectrum"] is everything[0][2]["verified_spectrum"]
         stacks.clear()
 
         def cover_calls():   # stack size -> calls of the cycle-cover kernel
@@ -398,7 +426,7 @@ class TestSharedWork:
             patched.setattr(sweep_module, "_STACK", 1)
             batch(["oracle_charpoly"], 8)
             assert cover_calls() == {1: 3}
-        for mask, (_, known) in zip(masks, everything):
+        for mask, (_, _, known) in zip(masks, everything):
             facts = GraphFacts(digraph_from_bits(2, mask))
             assert known == {"spectrum": facts.spectrum, "charpoly": facts.charpoly,
                              "verified_spectrum": facts.verified_spectrum,
@@ -409,8 +437,8 @@ class TestSharedWork:
             assert repr(known["complement_spectrum"]) == repr(lone)
         # The cycle-cover preset is the lazy field, on seeded n = 8 graphs.
         dense = [sweep_module._sample_mask(8, 0.5, 0.5, seed) for seed in range(4)]
-        for mask, (_, known) in zip(dense, sweep_module._batch_facts(8, dense,
-                                                                      ["oracle_charpoly"])):
+        for mask, (_, _, known) in zip(dense, sweep_module._batch_facts(8, dense,
+                                                                         ["oracle_charpoly"])):
             lazy = GraphFacts(digraph_from_bits(8, mask)).cycle_cover_charpoly
             assert known["cycle_cover_charpoly"] == lazy
 
@@ -484,16 +512,19 @@ class TestSharedWork:
         lone = linalg.eigenvalues_many(sweep_module._adjacency_stack(3, masks),
                                        with_residuals=False)
         batch = sweep_module._batch_facts(3, masks, ["mcclelland", "rho_lower", own])
-        assert [repr(known["spectrum"]) for _, known in batch] == [repr(s) for s in lone]
+        assert [repr(known["spectrum"]) for _, _, known in batch] == [repr(s) for s in lone]
 
     def test_keyed_spectrum_is_the_first_graph_of_its_charpoly(self):
         # Without those checks each n = 3 class gets the QR values of the
         # least class with its charpoly, the same object for all of them.
+        # perron, which the arrays do not decide, keeps every class in.
         masks = orbit_classes(3)[0]
         lone = linalg.eigenvalues_many(sweep_module._adjacency_stack(3, masks),
                                        with_residuals=False)
         first = {}   # charpoly -> its least class's index and preset spectrum
-        for i, (_, known) in enumerate(sweep_module._batch_facts(3, masks, ARRAY5)):
+        batch = list(sweep_module._batch_facts(3, masks, ARRAY5 + ["perron"]))
+        assert [i for i, _, _ in batch] == list(range(len(masks)))
+        for i, _, known in batch:
             j, spectrum = first.setdefault(known["charpoly"], (i, known["spectrum"]))
             assert known["spectrum"] is spectrum
             assert repr(spectrum) == repr(lone[j])
@@ -512,7 +543,7 @@ class TestSharedWork:
 
         monkeypatch.setattr(sweep_module, "eigenvalues_many", failing)
         monkeypatch.setattr(sweep_module, "_STACK", 1)
-        fields = [sorted(known) for _, known
+        fields = [sorted(known) for _, _, known
                   in sweep_module._batch_facts(2, [0b0011, 0b0110, 0b0101], ["mcclelland"])]
         # Left undecided, they get their exact roots for the re-check.
         assert fields == [["charpoly", "verified_spectrum"],
@@ -548,7 +579,7 @@ class TestSharedWork:
         # no graph gets a charpoly, and so none gets its roots.  The QR
         # stack has no cap, so oracle_roots still gets the spectra.
         masks = [sweep_module._sample_mask(65, 0.05, 0.5, seed) for seed in range(2)]
-        fields = [sorted(known) for _, known in sweep_module._batch_facts(65, masks, theorems)]
+        fields = [sorted(known) for _, _, known in sweep_module._batch_facts(65, masks, theorems)]
         expected = {"charpoly_invariance": [], "oracle_roots": ["spectrum"]}[theorems[0]]
         assert fields == [expected] * 2
 
@@ -678,7 +709,11 @@ class TestArrayPass:
                    for seed in N7_SEEDS]
         decided_pairs = open_pairs = 0
         for n, masks in stacks:
-            for mask, (decided, _) in zip(masks, sweep_module._batch_facts(n, masks, ARRAY5)):
+            # A graph the batch stage leaves out is decided on every check.
+            decisions = [frozenset(ARRAY5)] * len(masks)
+            for i, decided, _ in sweep_module._batch_facts(n, masks, ARRAY5):
+                decisions[i] = decided
+            for mask, decided in zip(masks, decisions):
                 assert n > 1 or not decided   # every n = 1 certificate is an equality
                 decided_pairs += len(decided)
                 open_pairs += len(ARRAY5) - len(decided)
@@ -697,9 +732,8 @@ class TestArrayPass:
         # nothing preset does.
         masks, weights = orbit_classes(3)
         theorems = ["mcclelland", "rho_lower", "trace_identities", "power_sums", "rho_upper"]
-        target = next(mask for mask, (decided, _) in
-                      zip(masks, sweep_module._batch_facts(3, masks, theorems))
-                      if mask > masks[len(masks) // 2] and len(decided) == 4)
+        target = next(masks[i] for i, decided, _ in sweep_module._batch_facts(3, masks, theorems)
+                      if masks[i] > masks[len(masks) // 2] and len(decided) == 4)
         real = THEOREM_CHECKS["trace_identities"]
         monkeypatch.setitem(THEOREM_CHECKS, "trace_identities", lambda facts: (
             CheckOutcome("fail", "synthetic")
@@ -716,6 +750,63 @@ class TestArrayPass:
         checked = chunk["graphs_checked"]
         assert chunk["checks"]["rho_lower"]["pass"] == checked
         assert chunk["checks"]["power_sums"]["pass"] < checked
+
+
+class TestBulkTallies:
+    @pytest.fixture
+    def census_stop(self, monkeypatch):
+        """The census selection, with rho_lower failing on an n = 4 class
+        past the first stack that the arrays leave undecided on it and
+        that follows a class they decide on both checks."""
+        masks, weights = orbit_classes(4)
+        theorems = ["mcclelland", "rho_lower"]
+        checked = {i: decided for i, decided, _
+                   in sweep_module._batch_facts(4, masks, theorems)}
+        target = next(i for i, decided in checked.items()
+                      if i > 256 and "rho_lower" not in decided and i - 1 not in checked)
+        witness = digraph_from_bits(4, masks[target])
+        real = bounds.rho_lower
+
+        def failing(facts):
+            if facts.d == witness:
+                raise CounterexampleError("synthetic")
+            return real(facts)
+
+        monkeypatch.setattr(bounds, "rho_lower", failing)
+        return masks, weights, theorems, target
+
+    def test_stop_after_bulk_tallied_graphs(self, census_stop):
+        # The chunk runner tallies and stops as the per-graph walk with
+        # nothing decided and nothing preset does: the graphs tallied in
+        # bulk before the failing one count, and none after it.
+        masks, weights, theorems, target = census_stop
+        chunk = _run_chunk((4, masks, weights, theorems)).to_json_dict()
+        walk = sweep_module._new_report(4, "", theorems, {})
+        table = {}
+        for mask, weight in zip(masks, weights):
+            if not sweep_module._check_graph(walk, mask, theorems, weight, {}, frozenset(),
+                                             table):
+                break
+        assert chunk == walk.to_json_dict()
+        assert chunk["graphs_checked"] == sum(weights[:target + 1])
+        assert chunk["checks"]["rho_lower"]["fail"] == weights[target]
+        assert chunk["counterexamples"] == [
+            {"check": "rho_lower", "graph": to_json_dict(digraph_from_bits(4, masks[target])),
+             "detail": "synthetic"}]
+        assert chunk["equality_census"]["rho_lower"]
+
+    def test_stop_after_bulk_tallied_graphs_in_two_workers(self, census_stop):
+        masks, weights, theorems, target = census_stop
+        chunk = _run_chunk((4, masks, weights, theorems)).to_json_dict()
+        payloads = []
+        for jobs in (1, 2):
+            payload = sweep(4, theorems, jobs=jobs).to_json_dict()
+            del payload["wall_time"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+        assert payloads[1]["graphs_checked"] == sum(weights[:target + 1])
+        for key in ("graphs_checked", "checks", "counterexamples", "equality_census"):
+            assert payloads[1][key] == chunk[key]
 
 
 class TestFailureIsolation:
